@@ -138,25 +138,27 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _moment_values(kind: str, variant: str, r: int, nmax: int):
+def _moment_values(kind: str, variant: str, r: int, nmax: int, tables: dict):
     if variant == "symmetrized":
         return moments.symmetrized_series(moments.ell_for_kind(kind), r, nmax).values
     if variant == "positive":
         return moments.positive_moment_series(kind, r, nmax).values
-    table = moments.CrankRankTable.build(kind, nmax)
-    return [table.full_moment(r, N) for N in range(nmax + 1)]
+    if kind not in tables:
+        tables[kind] = moments.CrankRankTable.build(kind, nmax)
+    return [tables[kind].full_moment(r, N) for N in range(nmax + 1)]
 
 
 def _cmd_moments(args) -> int:
     r_list = args.r or [1, 2]
     ells = args.ell or [1, 3]
     rows = []
+    tables = {}  # kind -> table, built once for every r of --variant full
     for r in sorted(set(r_list)):
         if r < 1:
             raise _UsageError("moment orders must be >= 1")
         for ell in sorted(set(ells)):
             kind = moments.kind_for_ell(ell)
-            values = _moment_values(kind, args.variant, r, args.nmax)
+            values = _moment_values(kind, args.variant, r, args.nmax, tables)
             for N, v in enumerate(values):
                 rows.append((args.variant, r, ell, kind, N, v))
     if args.format == "csv":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import series as qs
 
@@ -258,14 +258,7 @@ def _binomial_basis_polynomial(ell: int) -> list:
         poly = [Fraction(0)] + poly
         for k in range(len(poly) - 1):
             poly[k] += shift * poly[k + 1]
-    return [c / _factorial(ell) for c in poly]
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return [c / factorial(ell) for c in poly]
 
 
 def basis_change_coeffs(r: int) -> list:
@@ -274,8 +267,10 @@ def basis_change_coeffs(r: int) -> list:
     Solved by triangular elimination in the binomial basis over exact
     rationals; a non-integral solution would indicate a convention bug and
     raises AssertionError.  Consequently the ordinary positive moments
-    decompose over the symmetrized ones with these weights, where the l=0
-    term is the count of partitions with positive statistic value.
+    decompose over the symmetrized ones with these weights.  a_0 is always
+    0: at m = 0 the left side and every basis element with l >= 1,
+    C(floor((l-1)/2), l), vanish while the l = 0 element is 1.  So the
+    positive-value count never enters the decomposition.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -283,12 +278,12 @@ def basis_change_coeffs(r: int) -> list:
     target = [Fraction(0)] * (r + 1)
     target[r] = Fraction(1)
     lead = _binomial_basis_polynomial(r)
-    fact = _factorial(r)
+    fact = factorial(r)
     for k, c in enumerate(lead):
         target[k] -= fact * c
     coeffs = [0] * r
     for ell in range(r - 1, -1, -1):
-        c = target[ell] * _factorial(ell)
+        c = target[ell] * factorial(ell)
         if c.denominator != 1:
             raise AssertionError(
                 f"non-integral basis-change coefficient a_{ell} = {c} for r={r}"
@@ -306,17 +301,16 @@ def basis_change_coeffs(r: int) -> list:
 def positive_moment_series(kind: str, r: int, nmax: int) -> MomentTable:
     """Ordinary positive moments via the symmetrized series and basis change.
 
-    Needs the positive-value counts (the l=0 basis term) only when its
-    weight a_0 is nonzero, in which case they are taken from a table
-    build; for every r the remaining terms come from pure series
-    arithmetic.
+    Pure series arithmetic: r! times the order-r symmetrized series plus
+    a_l times the order-l ones for 1 <= l < r (the weight a_0 of the
+    positive-value count is always 0, see ``basis_change_coeffs``).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     ell = ell_for_kind(kind)
     coeffs = basis_change_coeffs(r)
     values = [0] * (nmax + 1)
-    fact = _factorial(r)
+    fact = factorial(r)
     top = symmetrized_series(ell, r, nmax).values
     for N in range(nmax + 1):
         values[N] = fact * top[N]
@@ -326,11 +320,6 @@ def positive_moment_series(kind: str, r: int, nmax: int) -> MomentTable:
             a = coeffs[l]
             for N in range(nmax + 1):
                 values[N] += a * lower[N]
-    if coeffs[0]:
-        table = CrankRankTable.build(kind, nmax)
-        a = coeffs[0]
-        for N in range(nmax + 1):
-            values[N] += a * table.positive_count(N)
     return MomentTable(kind=kind, variant="positive", r=r, ell=None, values=values)
 
 

@@ -142,15 +142,21 @@ def factorize(n: int) -> Factorization:
 def parity_predict(N: int) -> bool:
     """True exactly when ospt(N) (equivalently spt(N)) is odd.
 
-    Reads the factorization of 24N - 1: odd iff exactly one prime carries
-    an odd exponent, that exponent is 1 (mod 4), and the prime is
-    23 (mod 24); everything else must appear to an even power.
+    Factorizes 24N - 1 and applies ``parity_from_factorization``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    odd_part = [
-        (p, e) for p, e in factorize(24 * N - 1).factors if e % 2 == 1
-    ]
+    return parity_from_factorization(factorize(24 * N - 1))
+
+
+def parity_from_factorization(fac: Factorization) -> bool:
+    """The parity predictor read from a factorization of 24N - 1.
+
+    Odd iff exactly one prime carries an odd exponent, that exponent is
+    1 (mod 4), and the prime is 23 (mod 24); everything else must appear
+    to an even power.
+    """
+    odd_part = [(p, e) for p, e in fac.factors if e % 2 == 1]
     if len(odd_part) != 1:
         return False
     p, e = odd_part[0]
@@ -187,7 +193,7 @@ def parity_rows(spt, ospt, upto: int) -> list:
             N=N,
             modulus_argument=24 * N - 1,
             factorization=fac.factors,
-            predicted_odd=parity_predict(N),
+            predicted_odd=parity_from_factorization(fac),
             ospt_mod_2=ospt[N] % 2,
             spt_mod_2=spt[N] % 2,
         ))

@@ -16,8 +16,13 @@ This module builds the q-expansions everything else consumes:
   whose quotient by (q;q)_inf generates the ospt sequence.
 
 All series arithmetic is exact (Python integers) and silently truncated at
-a fixed order ``nmax``.  Complex floating-point evaluation of the same
-functions, with certified tail bounds, lives in the ``*_value`` functions;
+a fixed order ``nmax``.  A product is one big-integer multiplication by
+Kronecker substitution: each operand is packed into a single integer with
+one slot per coefficient, and each slot is wide enough (bits(max|a|) +
+bits(max|b|) + bits(nmax+1) + 1 bits) that the signed coefficient sums of
+the product never spill into a neighbouring slot, so every coefficient read
+back is exact.  Complex floating-point evaluation of the same functions,
+with certified tail bounds, lives in the ``*_value`` functions;
 those sum the defining series directly and never go through the truncated
 integer expansions, so the two routes can be played against each other.
 """
@@ -106,19 +111,35 @@ class ExactSeries:
         return ExactSeries([-a for a in self.coeffs], truncated=self.truncated)
 
     def __mul__(self, other: "ExactSeries") -> "ExactSeries":
-        """Exact Cauchy product, truncated at nmax."""
+        """Exact Cauchy product, truncated at nmax, by Kronecker substitution.
+
+        Both operands are packed into integers A = sum a_i X^i and
+        B = sum b_j X^j with X = 2^(8*width) (see ``_pack``), so the
+        coefficient c_k of q^k is the k-th base-X digit of A*B, read as a
+        signed digit.  |c_k| is a sum of at most nmax+1 terms |a_i b_j|,
+        hence below 2^(bits(max|a|) + bits(max|b|) + bits(nmax+1)), and
+        ``width`` is chosen one bit larger than that.  Adding X/2 to each of
+        the low nmax+1 digits then makes every digit lie in [0, X): no digit
+        borrows from or carries into its neighbour, and one multiplication
+        gives every truncated coefficient exactly.
+        """
         self._check_order(other)
-        nmax = self.nmax
-        out = [0] * (nmax + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                bs = other.coeffs
-                for j in range(nmax + 1 - i):
-                    b = bs[j]
-                    if b:
-                        out[i + j] += a * b
+        count = self.nmax + 1
+        a, b = self.coeffs, other.coeffs
+        bits = (
+            max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + count.bit_length() + 1
+        )
+        width = (bits + 7) // 8
+        size = width * count
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+        digits = ((_pack(a, width) * _pack(b, width) + bias)
+                  & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        out = [int.from_bytes(digits[i:i + width], "little") - half
+               for i in range(0, size, width)]
         da, db = self.degree(), other.degree()
-        overflow = da >= 0 and db >= 0 and da + db > nmax
+        overflow = da >= 0 and db >= 0 and da + db > self.nmax
         return ExactSeries(
             out, truncated=self.truncated or other.truncated or overflow
         )
@@ -135,6 +156,21 @@ class ExactSeries:
         fh.write("n,coefficient\n")
         for n, c in enumerate(self.coeffs):
             fh.write(f"{n},{c}\n")
+
+
+def _pack(coeffs, width: int) -> int:
+    """sum_i coeffs[i] * 2^(8*width*i), built from two unsigned byte strings.
+
+    The positive coefficients and the magnitudes of the negative ones are
+    laid out little-endian in slots of ``width`` bytes, which must hold
+    every |coefficient|; the packed value is their difference.
+    """
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero
+                   for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
+                   for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class BivariateSeries:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from crankrank import cli
+from crankrank import cli, moments
+from crankrank import series as qs
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,40 @@ class TestMoments:
                                "--variant", "symmetrized", "--ell", "1")
         assert code == 0
         assert "crank,symmetrized,2,1,2,1" in out
+
+    def test_full_variant(self, capsys, monkeypatch):
+        nmax = 14
+        built = []
+        build = moments.CrankRankTable.build
+
+        def counting_build(kind, *args, **kwargs):
+            built.append(kind)
+            return build(kind, *args, **kwargs)
+
+        monkeypatch.setattr(moments.CrankRankTable, "build",
+                            staticmethod(counting_build))
+        code, out, _ = run_cli(capsys, "moments", "--nmax", str(nmax),
+                               "--r", "1,2,3,4", "--variant", "full")
+        monkeypatch.undo()
+        assert code == 0
+        assert built == ["crank", "rank"]  # one table per kind, not per r
+        lines = out.strip().split("\n")
+        assert lines[0] == "kind,variant,r,ell,N,value"
+        values = {}
+        for line in lines[1:]:
+            kind, variant, r, ell, N, v = line.split(",")
+            assert variant == "full"
+            values[kind, int(r), int(N)] = int(v)
+        assert len(values) == 2 * 4 * (nmax + 1)
+        p = qs.partition_series(nmax).coeffs
+        tables = {kind: moments.CrankRankTable.build(kind, nmax)
+                  for kind in ("crank", "rank")}
+        for (kind, r, N), v in values.items():
+            assert v == tables[kind].full_moment(r, N)
+            if r % 2 == 1:
+                assert v == 0
+            if kind == "crank" and r == 2:
+                assert v == 2 * N * p[N]  # Dyson's M2(N) = 2N p(N)
 
     def test_bad_order(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--nmax", "4", "--r", "0")

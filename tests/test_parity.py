@@ -105,6 +105,23 @@ class TestParityRows:
         assert row.factorization == ((5, 1), (19, 1))
         assert not row.predicted_odd
 
+    def test_each_modulus_factorized_once(self, monkeypatch):
+        spt, ospt = mm.spt_ospt(80)
+        calls = []
+        factorize = pa.factorize
+
+        def counting_factorize(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(pa, "factorize", counting_factorize)
+        rows = pa.parity_rows(spt, ospt, 80)
+        assert calls == [24 * N - 1 for N in range(1, 81)]
+        monkeypatch.undo()
+        assert [row.predicted_odd for row in rows] == [
+            pa.parity_predict(N) for N in range(1, 81)
+        ]
+
     def test_short_sequences_rejected(self):
         with pytest.raises(ValueError):
             pa.parity_rows([0, 1], [0, 1], 5)

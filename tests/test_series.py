@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crankrank import partitions
@@ -11,6 +11,46 @@ from crankrank.errors import ConvergenceError
 
 def brute_partition_count(n):
     return sum(1 for _ in partitions.partitions_of(n))
+
+
+def schoolbook_product(a, b):
+    """Reference truncated product: the plain O(nmax^2) Cauchy loop.
+
+    Returns (coeffs, truncated), where truncated is set when an input was
+    already truncated or some nonzero a_i * b_j with i + j > nmax is dropped.
+    """
+    nmax = a.nmax
+    out = [0] * (nmax + 1)
+    dropped = False
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j <= nmax:
+                out[i + j] += x * y
+            elif x and y:
+                dropped = True
+    return out, a.truncated or b.truncated or dropped
+
+
+BIG = 2**300
+
+
+def _coefficient_lists(n):
+    return st.one_of(
+        st.lists(st.one_of(st.just(0), st.integers(-BIG, BIG)),
+                 min_size=n, max_size=n),
+        st.just([0] * n),
+        st.lists(st.integers(-BIG, -1), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    )
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 64))
+    return (
+        qs.ExactSeries(draw(_coefficient_lists(n)), truncated=draw(st.booleans())),
+        qs.ExactSeries(draw(_coefficient_lists(n)), truncated=draw(st.booleans())),
+    )
 
 
 class TestPartitionSeries:
@@ -86,6 +126,36 @@ class TestSeriesArithmetic:
         c = qs.ExactSeries(zs + [0] * (n - len(zs)))
         assert (a * b).coeffs == (b * a).coeffs
         assert ((a + b) * c).coeffs == (a * c + b * c).coeffs
+
+
+class TestProductAgainstSchoolbook:
+    """The packed (Kronecker) product against the plain Cauchy loop."""
+
+    @given(series_pairs())
+    @example((qs.ExactSeries([0]), qs.ExactSeries([0])))
+    @example((qs.ExactSeries([-BIG]), qs.ExactSeries([BIG])))
+    @example((qs.ExactSeries([-1] * 64), qs.ExactSeries([-BIG] * 64)))
+    # |c_62| = 63 * 31^2 >= 2^15 fills 5 + 5 + bits(63) = 16 bits past the
+    # signed half of a 2-byte slot: only the extra headroom bit keeps it exact
+    @example((qs.ExactSeries([31] * 63), qs.ExactSeries([-31] * 63)))
+    @settings(max_examples=100, deadline=None)
+    def test_random_series(self, pair):
+        a, b = pair
+        prod = a * b
+        assert (prod.coeffs, prod.truncated) == schoolbook_product(a, b)
+
+    @pytest.mark.parametrize("factor", [
+        *(pytest.param(lambda n, ell=ell, r=r: qs.appell_sum(ell, r, n),
+                       id=f"appell-{ell}-{r}")
+          for ell in (1, 3) for r in (1, 2, 6, 10)),
+        pytest.param(qs.euler_function, id="euler"),
+        pytest.param(qs.ospt_numerator, id="ospt-numerator"),
+    ])
+    def test_quotients_at_600(self, factor):
+        p = qs.partition_series(600)
+        a = factor(600)
+        prod = a * p
+        assert (prod.coeffs, prod.truncated) == schoolbook_product(a, p)
 
 
 class TestBivariateSeries:
