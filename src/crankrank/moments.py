@@ -139,10 +139,6 @@ class CrankRankTable:
             if row[m + N]
         )
 
-    def positive_count(self, N: int) -> int:
-        """Count of partitions of N with a strictly positive statistic value."""
-        return self.positive_moment(0, N)
-
     def positive_moments_upto(self, r_max: int):
         """All positive moments r=0..r_max for every N, in one table pass.
 

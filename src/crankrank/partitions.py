@@ -6,6 +6,12 @@ That makes this module the independent oracle against which the
 generating-function machinery in :mod:`crankrank.series` and
 :mod:`crankrank.moments` is validated.
 
+Enumeration is iterative: ``partitions_of`` steps one list from the
+all-ones partition to ``(n,)`` by a successor rule, in lexicographic
+order (the same order as the recursive reference generator in the
+tests).  ``brute_aggregates`` enumerates the partitions of one n once
+and tallies every statistic in that single pass.
+
 A partition is represented as a weakly decreasing tuple of positive
 integers; the empty tuple is the unique partition of 0.
 """
@@ -38,13 +44,19 @@ class PartitionStats:
 
 @dataclass(frozen=True)
 class BruteAggregates:
-    """Statistic totals over all partitions of one integer."""
+    """Statistic totals and histograms over all partitions of one integer.
+
+    ``crank`` and ``rank`` map a statistic value to the number of
+    partitions taking it, exactly as ``brute_distribution`` returns them.
+    """
 
     n: int
     count: int
     spt: int
     ospt_strings: int
     durfee_sum: int
+    crank: dict
+    rank: dict
 
 
 def check_partition(parts) -> tuple:
@@ -63,6 +75,11 @@ def partitions_of(n: int, cap: int = ENUMERATION_CAP):
 
     Partitions are weakly decreasing tuples compared left to right, so for
     n=4 the order is (1,1,1,1), (2,1,1), (2,2), (3,1), (4).
+
+    One list is stepped in place, starting from n ones.  The successor
+    takes the rightmost part a[i] other than the last with i == 0 or
+    a[i] < a[i-1], adds 1 to it, and replaces every part after it by
+    sum(a[i+1:]) - 1 ones; that is the next partition in the order above.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -70,16 +87,18 @@ def partitions_of(n: int, cap: int = ENUMERATION_CAP):
         raise ResourceLimitError(
             f"partition enumeration capped at n <= {cap}, got {n}"
         )
-
-    def gen(remaining, largest):
-        if remaining == 0:
-            yield ()
+    a = [1] * n
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        if i < 0:
             return
-        for first in range(1, min(remaining, largest) + 1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(n, n if n else 1)
+        # a is weakly decreasing, so a[i] < a[i-1] means a[i] != a[i-1]
+        while i > 0 and a[i] == a[i - 1]:
+            i -= 1
+        rest = sum(a[i + 1:]) - 1
+        a[i] += 1
+        a[i + 1:] = [1] * rest
 
 
 def rank_of(parts) -> int:
@@ -188,28 +207,30 @@ def brute_distribution(n: int, kind: str, cap: int = ENUMERATION_CAP) -> dict:
     {-1: 1}; callers comparing against generating-function tables must
     reconcile the anomalous column themselves.
     """
-    if kind == "crank":
-        stat = crank_of
-    elif kind == "rank":
-        stat = rank_of
-    else:
+    if kind not in ("crank", "rank"):
         raise ValueError(f"kind must be 'crank' or 'rank', got {kind!r}")
-    hist = Counter()
-    for parts in partitions_of(n, cap=cap):
-        hist[stat(parts)] += 1
-    return dict(hist)
+    return getattr(brute_aggregates(n, cap=cap), kind)
 
 
 def brute_aggregates(n: int, cap: int = ENUMERATION_CAP) -> BruteAggregates:
-    """Totals of spt, string counts, and Durfee sizes over partitions of n."""
+    """Every brute-force statistic of the partitions of n, in one pass.
+
+    Returns the crank and rank histograms together with the totals of
+    spt, string counts and Durfee sizes, all from a single enumeration.
+    """
+    crank = Counter()
+    rank = Counter()
     count = spt = strings = durfee = 0
     for parts in partitions_of(n, cap=cap):
         count += 1
+        crank[crank_of(parts)] += 1
+        rank[rank_of(parts)] += 1
         spt += smallest_part_count(parts)
         strings += string_count(parts)
         durfee += durfee_size(parts)
     return BruteAggregates(
-        n=n, count=count, spt=spt, ospt_strings=strings, durfee_sum=durfee
+        n=n, count=count, spt=spt, ospt_strings=strings, durfee_sum=durfee,
+        crank=dict(crank), rank=dict(rank),
     )
 
 

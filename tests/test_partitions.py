@@ -1,9 +1,25 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crankrank import partitions as pt
+from crankrank import series as qs
 from crankrank.errors import ResourceLimitError
+
+
+def recursive_partitions(n):
+    """Reference enumeration: recursion on the first part, lexicographic order."""
+    def gen(remaining, largest):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(1, min(remaining, largest) + 1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    yield from gen(n, n if n else 1)
 
 
 class TestEnumeration:
@@ -29,6 +45,21 @@ class TestEnumeration:
     def test_negative(self):
         with pytest.raises(ValueError):
             next(pt.partitions_of(-1))
+
+    def test_same_order_as_recursive_reference(self):
+        for n in range(31):
+            assert list(pt.partitions_of(n)) == list(recursive_partitions(n))
+
+
+@given(st.integers(0, 40))
+@settings(max_examples=25, deadline=None)
+def test_enumeration_counts_and_shape(n):
+    count = 0
+    for parts in pt.partitions_of(n):
+        count += 1
+        assert sum(parts) == n
+        assert all(a >= b for a, b in zip(parts, parts[1:]))
+    assert count == qs.partition_series(n).coeffs[n]
 
 
 class TestStatistics:
@@ -116,6 +147,22 @@ class TestAggregates:
     def test_two(self):
         agg = pt.brute_aggregates(2)
         assert (agg.spt, agg.ospt_strings, agg.durfee_sum) == (3, 1, 2)
+
+    def test_one_pass_matches_per_partition_statistics(self):
+        for n in range(21):
+            crank, rank = Counter(), Counter()
+            spt = strings = durfee = 0
+            for parts in pt.partitions_of(n):
+                s = pt.stats_of(parts)
+                crank[s.crank] += 1
+                rank[s.rank] += 1
+                spt += s.smallest_part_count
+                strings += s.string_count
+                durfee += s.durfee
+            agg = pt.brute_aggregates(n)
+            assert agg.crank == crank and agg.rank == rank
+            assert (agg.count, agg.spt, agg.ospt_strings, agg.durfee_sum) == (
+                sum(crank.values()), spt, strings, durfee)
 
     def test_string_totals_weakly_increase(self):
         values = [pt.brute_aggregates(n).ospt_strings for n in range(1, 22)]

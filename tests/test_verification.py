@@ -41,6 +41,23 @@ def test_failure_detection():
     assert bad.counterexample is not None
 
 
+def test_aggregate_failure_detection():
+    ctx = vr.build_context(20)
+    ctx.spt[7] += 1
+    results = {r.name: r for r in vr.check_aggregates(ctx)}
+    assert not results["spt-three-routes"].passed
+    assert results["spt-three-routes"].counterexample["N"] == 7
+    assert results["ospt-three-routes"].passed
+    assert results["durfee-first-moment"].passed
+
+
 def test_brute_cap_respected():
     ctx = vr.build_context(20, brute_nmax=10)
     assert ctx.brute_nmax == 10
+    assert len(ctx.brute) == 11
+
+
+def test_brute_range_always_covers_n1():
+    ctx = vr.build_context(5, brute_nmax=0)
+    assert ctx.brute_nmax == 1
+    assert all(r.passed for r in vr.run_suite(5, ctx=ctx))
