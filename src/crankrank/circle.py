@@ -1,15 +1,16 @@
 """Numerical verification of the contour-integral route to moment growth.
 
-The exact coefficients of appell_sum(ell, r)/(q;q)_inf can be recovered by
-integrating around a circle of radius e^{-pi/sqrt(6N)}: a short main arc
-near q = 1 carries essentially all of the integral, and the long error arc
-is exponentially smaller.  This module implements that split numerically
-(``wright_integrals``), the partial-fraction expansion of the cotangent-type
-kernel behind the pole analysis (``ml_alphas``), the weighted theta sums
-controlling the main arc (``alternating_theta``), Wright's auxiliary
-Bessel-like contour integral (``wright_auxiliary``), and the
-Bernoulli-polynomial asymptotic expansion of sampled smooth sums
-(``zagier_expansion`` and friends) that powers the small-argument limits.
+The exact coefficients of A_{ell,r}(q)/(q;q)_inf, A being the Appell-type
+sum ``series.appell_sum``, can be recovered by integrating around a circle
+of radius e^{-pi/sqrt(6N)}: a short main arc near q = 1 carries essentially
+all of the integral, and the long error arc is exponentially smaller.
+This module implements that split numerically (``wright_integrals``), the
+partial-fraction expansion of the cotangent-type kernel behind the pole
+analysis (``ml_alphas``), the weighted theta sums controlling the main arc
+(``alternating_theta``), Wright's auxiliary Bessel-like contour integral
+(``wright_auxiliary``), and the Bernoulli-polynomial asymptotic expansion
+of sampled smooth sums (``zagier_expansion`` and friends) that powers the
+small-argument limits.
 
 Complex evaluation near the unit circle always goes through the defining
 sums and products (series module ``*_value`` functions or their vectorized

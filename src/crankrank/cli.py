@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 
 from . import asymptotics, circle, moments, parity, verification
@@ -49,55 +48,58 @@ def _int_list(text: str) -> list:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="crankrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--nmax": dict(type=int, default=DEFAULT_NMAX,
+                       help="truncation / table order (default %(default)s)"),
+        "--out": dict(default=None,
+                      help="write output to this path instead of stdout"),
+        "--format": dict(choices=("csv", "json"), default="csv",
+                         help="output format"),
+        "--r": dict(type=_int_list, default=None,
+                    help="comma-separated moment orders"),
+        "--ell": dict(type=_int_list, default=None,
+                      help="comma-separated sides: 1=crank, 3=rank"),
+        "--ladder": dict(type=_int_list, default=list(DEFAULT_LADDER),
+                         help="comma-separated increasing N values"),
+        "--convention": dict(
+            choices=(moments.GENERATING_FUNCTION, moments.COMBINATORIAL),
+            default=moments.GENERATING_FUNCTION,
+            help="crank N=1 column handling for table export"),
+        "--dtilde-variant": dict(
+            choices=asymptotics.VARIANTS, default="eta",
+            help="zeta(r-1) weight form in subleading constants"),
+    }
 
-    def common(p, ladder_default=DEFAULT_LADDER):
-        p.add_argument("--nmax", type=int, default=DEFAULT_NMAX,
-                       help="truncation / table order (default %(default)s)")
-        p.add_argument("--out", default=None,
-                       help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format where both are supported")
-        p.add_argument("--r", type=_int_list, default=None,
-                       help="comma-separated moment orders")
-        p.add_argument("--ell", type=_int_list, default=None,
-                       help="comma-separated sides: 1=crank, 3=rank")
-        p.add_argument("--ladder", type=_int_list, default=list(ladder_default),
-                       help="comma-separated increasing N values")
-        p.add_argument("--convention",
-                       choices=(moments.GENERATING_FUNCTION, moments.COMBINATORIAL),
-                       default=moments.GENERATING_FUNCTION,
-                       help="crank N=1 column handling for table export")
-        p.add_argument("--dtilde-variant", choices=asymptotics.VARIANTS,
-                       default="eta",
-                       help="zeta(r-1) weight form in subleading constants")
+    def command(name, help, *names):
+        """A subcommand that accepts exactly the flags in ``names``."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        return p
 
-    p_tables = sub.add_parser("tables", help="crank/rank distribution tables")
+    p_tables = command("tables", "crank/rank distribution tables",
+                       "--nmax", "--out", "--format", "--convention")
     p_tables.add_argument("--kind", choices=("crank", "rank", "both"),
                           default="crank")
-    common(p_tables)
-
-    p_moments = sub.add_parser("moments", help="exact moment tables")
+    p_moments = command("moments", "exact moment tables",
+                        "--nmax", "--out", "--format", "--r", "--ell")
     p_moments.add_argument("--variant",
                            choices=("full", "positive", "symmetrized"),
                            default="positive")
-    common(p_moments)
-
-    p_spt = sub.add_parser("spt-ospt", help="the spt and ospt sequences")
-    common(p_spt)
-
-    p_verify = sub.add_parser("verify", help="run the exact identity suite")
-    common(p_verify)
-
-    p_asym = sub.add_parser("asym", help="trend reports against predictions")
-    common(p_asym)
-
-    p_circle = sub.add_parser("circle", help="contour-integral reproduction")
-    common(p_circle, ladder_default=DEFAULT_CIRCLE_LADDER)
-    p_circle.set_defaults(format="json")  # csv emits the off-arc bound grid
-
-    p_parity = sub.add_parser("parity", help="factorization parity table")
-    common(p_parity)
-
+    command("spt-ospt", "the spt and ospt sequences",
+            "--nmax", "--out", "--format")
+    p_verify = command("verify", "run the exact identity suite", "--nmax")
+    p_verify.add_argument("--out", default=None,
+                          help="also write the JSON report to this path "
+                               "(the text report still goes to stdout)")
+    command("asym", "trend reports against predictions",
+            "--out", "--r", "--ladder", "--dtilde-variant")
+    p_circle = command("circle", "contour-integral reproduction",
+                       "--out", "--format", "--r", "--ell", "--ladder")
+    # json by default: csv emits the off-arc bound grid
+    p_circle.set_defaults(format="json", ladder=list(DEFAULT_CIRCLE_LADDER))
+    command("parity", "factorization parity table",
+            "--nmax", "--out", "--format")
     return parser
 
 
@@ -138,29 +140,33 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _moment_values(kind: str, variant: str, r: int, nmax: int, tables: dict):
-    if variant == "symmetrized":
-        return moments.symmetrized_series(moments.ell_for_kind(kind), r, nmax).values
-    if variant == "positive":
-        return moments.positive_moment_series(kind, r, nmax).values
-    if kind not in tables:
-        tables[kind] = moments.CrankRankTable.build(kind, nmax)
-    return [tables[kind].full_moment(r, N) for N in range(nmax + 1)]
-
-
 def _cmd_moments(args) -> int:
-    r_list = args.r or [1, 2]
-    ells = args.ell or [1, 3]
-    rows = []
-    tables = {}  # kind -> table, built once for every r of --variant full
-    for r in sorted(set(r_list)):
-        if r < 1:
-            raise _UsageError("moment orders must be >= 1")
-        for ell in sorted(set(ells)):
-            kind = moments.kind_for_ell(ell)
-            values = _moment_values(kind, args.variant, r, args.nmax, tables)
-            for N, v in enumerate(values):
-                rows.append((args.variant, r, ell, kind, N, v))
+    r_list = sorted(set(args.r or [1, 2]))
+    if r_list[0] < 1:
+        raise _UsageError("moment orders must be >= 1")
+    kinds = {ell: moments.kind_for_ell(ell)
+             for ell in sorted(set(args.ell or [1, 3]))}
+    values = {}  # (r, ell) -> values; one table or one family per side
+    for ell, kind in kinds.items():
+        if args.variant == "full":
+            table = moments.CrankRankTable.build(kind, args.nmax)
+            for r in r_list:
+                values[r, ell] = [table.full_moment(r, N)
+                                  for N in range(args.nmax + 1)]
+        elif args.variant == "symmetrized":
+            sym = moments.symmetrized_family(ell, r_list, args.nmax)
+            for r in r_list:
+                values[r, ell] = sym[r]
+        else:
+            sym = moments.symmetrized_family(ell, range(1, r_list[-1] + 1),
+                                             args.nmax)
+            for r in r_list:
+                values[r, ell] = moments.positive_from_symmetrized(sym, r)
+    rows = [
+        (args.variant, r, ell, kind, N, v)
+        for r in r_list for ell, kind in kinds.items()
+        for N, v in enumerate(values[r, ell])
+    ]
     if args.format == "csv":
         lines = [
             f"{kind},{variant},{r},{ell},{N},{v}"
@@ -208,35 +214,24 @@ def _cmd_asym(args) -> int:
         raise _UsageError("trend ladder needs at least 3 points")
     r_list = sorted(set(args.r or [1, 2, 3, 4, 5, 6]))
     nmax = max(ladder)
-    p = qs.partition_series(nmax)
-    sym = {
-        1: {r: (qs.appell_sum(1, r, nmax) * p).coeffs
-            for r in range(1, max(r_list) + 1)},
-        3: {r: (qs.appell_sum(3, r, nmax) * p).coeffs
-            for r in range(1, max(r_list) + 1)},
-    }
-
-    def positive(ell, r, N):
-        coeffs = moments.basis_change_coeffs(r)
-        val = math.factorial(r) * sym[ell][r][N]
-        for l in range(1, r):
-            if coeffs[l]:
-                val += coeffs[l] * sym[ell][l][N]
-        return val
-
+    # ospt needs orders 1 and 2 even when --r asks for less
+    orders = range(1, max(r_list[-1], 2) + 1)
+    sym = {ell: moments.symmetrized_family(ell, orders, nmax) for ell in (1, 3)}
     reports = []
     for r in r_list:
         model_c = asymptotics.build_model(r, 1, args.dtilde_variant)
         model_r = asymptotics.build_model(r, 3, args.dtilde_variant)
-        crank_vals = [positive(1, r, N) for N in ladder]
-        rank_vals = [positive(3, r, N) for N in ladder]
+        crank_all = moments.positive_from_symmetrized(sym[1], r)
+        rank_all = moments.positive_from_symmetrized(sym[3], r)
+        crank_vals = [crank_all[N] for N in ladder]
+        rank_vals = [rank_all[N] for N in ladder]
         diff_vals = [a - b for a, b in zip(crank_vals, rank_vals)]
         reports.append(asymptotics.trend(ladder, crank_vals, model_c, "M_pos"))
         reports.append(asymptotics.trend(ladder, rank_vals, model_r, "N_pos"))
         reports.append(asymptotics.trend(ladder, diff_vals, model_c, "diff"))
-    ospt_ratios = [
-        (sym[1][1][N] - sym[3][1][N]) / (p.coeffs[N] / 4) for N in ladder
-    ]
+    _, ospt = moments.spt_ospt_from_symmetrized(sym[1], sym[3])
+    p = qs.partition_series(nmax).coeffs
+    ospt_ratios = [ospt[N] / (p[N] / 4) for N in ladder]
     payload = {
         "trends": [rep.as_dict() for rep in reports],
         "ospt_vs_quarter_p": {

@@ -6,9 +6,14 @@ Two independent routes to the same numbers live here:
   values from the bivariate generating function and read moments off it
   as weighted sums over m;
 * the *series route*: read symmetrized positive moments directly as the
-  integer coefficients of appell_sum(ell, r) / (q;q)_inf (ell=1 for
-  crank, ell=3 for rank) and recover ordinary positive moments through
-  the exact binomial basis change.
+  integer coefficients of A_{ell,r}(q) / (q;q)_inf, A being
+  ``series.appell_sum`` (ell=1 for crank, ell=3 for rank), and recover
+  ordinary positive moments through the exact binomial basis change.
+  Each formula of this route is written once: ``symmetrized_family``
+  forms the quotients, ``positive_from_symmetrized`` applies the basis
+  change and ``spt_ospt_from_symmetrized`` combines the first two orders
+  into spt and ospt.  ``symmetrized_series``, ``positive_moment_series``
+  and ``spt_ospt`` are single-family calls into them.
 
 The two routes meeting exactly, for every N and r, is one of the main
 verification targets of the package.
@@ -124,7 +129,7 @@ class CrankRankTable:
         """sum_{m>=1} C(m + floor((r-1)/2), r) counts[N][m].
 
         This is the direct binomial-weighted route; it must coincide with
-        the coefficients of appell_sum(ell, r)/(q;q)_inf.
+        the coefficients of ``symmetrized_family``.
         """
         self._require_gf()
         if r < 1:
@@ -227,19 +232,26 @@ def ell_for_kind(kind: str) -> int:
     raise ValueError(f"kind must be 'crank' or 'rank', got {kind!r}")
 
 
-def symmetrized_series(ell: int, r: int, nmax: int) -> MomentTable:
-    """Symmetrized positive moments as coefficients of the quotient series.
+def symmetrized_family(ell: int, orders, nmax: int) -> dict:
+    """Symmetrized positive moments of every order in ``orders``, as {r: coeffs}.
 
-    The coefficient of q^N in appell_sum(ell, r) / (q;q)_inf equals the
-    binomial-weighted moment sum_{m>=1} C(m + floor((r-1)/2), r) M(m, N)
-    over the crank (ell=1) or rank (ell=3) histogram.
+    coeffs[N] is the coefficient of q^N in A_{ell,r}(q) / (q;q)_inf, where
+    A_{ell,r} is ``series.appell_sum``; it equals the binomial-weighted
+    moment sum_{m>=1} C(m + floor((r-1)/2), r) M(m, N) over the crank
+    (ell=1) or rank (ell=3) histogram.  This is the one place the quotient
+    is formed: 1/(q;q)_inf is built once, and each order costs one product.
     """
+    p = qs.partition_series(nmax)
+    return {r: (qs.appell_sum(ell, r, nmax) * p).coeffs for r in orders}
+
+
+def symmetrized_series(ell: int, r: int, nmax: int) -> MomentTable:
+    """The order-r symmetrized positive moments, see ``symmetrized_family``."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    quotient = qs.appell_sum(ell, r, nmax) * qs.partition_series(nmax)
     return MomentTable(
         kind=kind_for_ell(ell), variant="symmetrized", r=r, ell=ell,
-        values=quotient.coeffs,
+        values=symmetrized_family(ell, (r,), nmax)[r],
     )
 
 
@@ -294,49 +306,54 @@ def basis_change_coeffs(r: int) -> list:
     return coeffs
 
 
-def positive_moment_series(kind: str, r: int, nmax: int) -> MomentTable:
-    """Ordinary positive moments via the symmetrized series and basis change.
+def positive_from_symmetrized(sym: dict, r: int) -> list:
+    """Ordinary positive moments of order r from a symmetrized family.
 
-    Pure series arithmetic: r! times the order-r symmetrized series plus
-    a_l times the order-l ones for 1 <= l < r (the weight a_0 of the
-    positive-value count is always 0, see ``basis_change_coeffs``).
+    values[N] = r! sym[r][N] + sum_{1 <= l < r} a_l sym[l][N] with the
+    weights of ``basis_change_coeffs`` (a_0, the weight of the
+    positive-value count, is always 0).  ``sym`` maps each order to its
+    coefficient list; orders whose weight is 0 may be missing.
     """
+    coeffs = basis_change_coeffs(r)
+    fact = factorial(r)
+    values = [fact * s for s in sym[r]]
+    for l in range(1, r):
+        a = coeffs[l]
+        if a:
+            values = [v + a * s for v, s in zip(values, sym[l])]
+    return values
+
+
+def positive_moment_series(kind: str, r: int, nmax: int) -> MomentTable:
+    """Ordinary positive moments via the symmetrized series and basis change."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    ell = ell_for_kind(kind)
-    coeffs = basis_change_coeffs(r)
-    values = [0] * (nmax + 1)
-    fact = factorial(r)
-    top = symmetrized_series(ell, r, nmax).values
-    for N in range(nmax + 1):
-        values[N] = fact * top[N]
-    for l in range(1, r):
-        if coeffs[l]:
-            lower = symmetrized_series(ell, l, nmax).values
-            a = coeffs[l]
-            for N in range(nmax + 1):
-                values[N] += a * lower[N]
-    return MomentTable(kind=kind, variant="positive", r=r, ell=None, values=values)
+    sym = symmetrized_family(ell_for_kind(kind), range(1, r + 1), nmax)
+    return MomentTable(kind=kind, variant="positive", r=r, ell=None,
+                       values=positive_from_symmetrized(sym, r))
+
+
+def spt_ospt_from_symmetrized(sym_crank: dict, sym_rank: dict) -> tuple:
+    """spt(N) and ospt(N) from the order-1 and order-2 symmetrized families.
+
+    ospt is the difference of first positive moments mu_1 - eta_1; spt is
+    the difference of second positive moments, which the basis change
+    turns into 2(mu_2 - eta_2) + (mu_1 - eta_1).
+    """
+    ospt = [a - b for a, b in zip(sym_crank[1], sym_rank[1])]
+    spt = [2 * (a - b) + d for a, b, d in zip(sym_crank[2], sym_rank[2], ospt)]
+    return spt, ospt
 
 
 def spt_ospt(nmax: int = DEFAULT_NMAX) -> tuple:
     """Exact spt(N) and ospt(N) for 0 <= N <= nmax, from the series route.
 
-    spt is the difference of second positive moments, which the basis
-    change turns into 2(mu_2 - eta_2) + (mu_1 - eta_1) in symmetrized
-    terms; ospt is the difference of first positive moments mu_1 - eta_1.
     Both lists carry a leading 0 entry for N=0.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    p = qs.partition_series(nmax)
-    mu1 = (qs.appell_sum(1, 1, nmax) * p).coeffs
-    eta1 = (qs.appell_sum(3, 1, nmax) * p).coeffs
-    mu2 = (qs.appell_sum(1, 2, nmax) * p).coeffs
-    eta2 = (qs.appell_sum(3, 2, nmax) * p).coeffs
-    ospt = [a - b for a, b in zip(mu1, eta1)]
-    spt = [2 * (a - b) + d for a, b, d in zip(mu2, eta2, ospt)]
-    return spt, ospt
+    return spt_ospt_from_symmetrized(symmetrized_family(1, (1, 2), nmax),
+                                     symmetrized_family(3, (1, 2), nmax))
 
 
 def ospt_from_numerator(nmax: int) -> list:

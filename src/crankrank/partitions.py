@@ -232,12 +232,3 @@ def brute_aggregates(n: int, cap: int = ENUMERATION_CAP) -> BruteAggregates:
         n=n, count=count, spt=spt, ospt_strings=strings, durfee_sum=durfee,
         crank=dict(crank), rank=dict(rank),
     )
-
-
-def write_aggregates_csv(rows, fh) -> None:
-    """Write rows ``N,spt,ospt_strings,durfee_sum,p``."""
-    fh.write("N,spt,ospt_strings,durfee_sum,p\n")
-    for agg in rows:
-        fh.write(
-            f"{agg.n},{agg.spt},{agg.ospt_strings},{agg.durfee_sum},{agg.count}\n"
-        )

@@ -78,9 +78,6 @@ class ExactSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.nmax >= 6 else ""
@@ -529,24 +526,6 @@ def ospt_numerator_value(q: complex, tol: float = 1e-12,
     raise ConvergenceError(
         f"ospt_numerator did not converge in {max_terms} terms", achieved_bound=best
     )
-
-
-def eval_complex(kind: str, q: complex, tol: float = 1e-12, *,
-                 ell: int | None = None, r: int | None = None) -> SeriesValue:
-    """Dispatch direct evaluation by series name.
-
-    kind is one of "euler_inverse", "appell_sum" (needs ell and r), or
-    "ospt_numerator".
-    """
-    if kind == "euler_inverse":
-        return euler_inverse_value(q, tol)
-    if kind == "appell_sum":
-        if ell is None or r is None:
-            raise ValueError("appell_sum evaluation needs ell and r")
-        return appell_sum_value(ell, r, q, tol)
-    if kind == "ospt_numerator":
-        return ospt_numerator_value(q, tol)
-    raise ValueError(f"unknown series kind {kind!r}")
 
 
 def tau_to_q(tau: complex) -> complex:

@@ -71,23 +71,16 @@ def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
     brute_nmax = max(1, min(brute_nmax, nmax, partitions.ENUMERATION_CAP))
     crank_table = moments.CrankRankTable.build("crank", nmax)
     rank_table = moments.CrankRankTable.build("rank", nmax)
-    p = qs.partition_series(nmax)
-    sym_crank = {}
-    sym_rank = {}
-    for r in range(1, MOMENT_ORDER_MAX + 1):
-        sym_crank[r] = (qs.appell_sum(1, r, nmax) * p).coeffs
-        sym_rank[r] = (qs.appell_sum(3, r, nmax) * p).coeffs
-    ospt = [a - b for a, b in zip(sym_crank[1], sym_rank[1])]
-    spt = [
-        2 * (a - b) + d
-        for a, b, d in zip(sym_crank[2], sym_rank[2], ospt)
-    ]
+    orders = range(1, MOMENT_ORDER_MAX + 1)
+    sym_crank = moments.symmetrized_family(1, orders, nmax)
+    sym_rank = moments.symmetrized_family(3, orders, nmax)
+    spt, ospt = moments.spt_ospt_from_symmetrized(sym_crank, sym_rank)
     return SuiteContext(
         nmax=nmax,
         brute_nmax=brute_nmax,
         crank_table=crank_table,
         rank_table=rank_table,
-        partition_counts=p.coeffs,
+        partition_counts=qs.partition_series(nmax).coeffs,
         pos_crank=crank_table.positive_moments_upto(MOMENT_ORDER_MAX),
         pos_rank=rank_table.positive_moments_upto(MOMENT_ORDER_MAX),
         sym_crank=sym_crank,
@@ -330,19 +323,14 @@ def check_basis_change(ctx: SuiteContext) -> list:
                          r=bad[0], m=bad[1]))
     bad = None
     for r in range(1, MOMENT_ORDER_MAX + 1):
-        coeffs = moments.basis_change_coeffs(r)
-        fact = factorial(r)
         for side, pos, sym in (
             ("crank", ctx.pos_crank, ctx.sym_crank),
             ("rank", ctx.pos_rank, ctx.sym_rank),
         ):
+            want = moments.positive_from_symmetrized(sym, r)
             for N in range(ctx.nmax + 1):
-                want = fact * sym[r][N]
-                for l in range(1, r):
-                    if coeffs[l]:
-                        want += coeffs[l] * sym[l][N]
-                if pos[N][r] != want:
-                    bad = (side, r, N, pos[N][r], want)
+                if pos[N][r] != want[N]:
+                    bad = (side, r, N, pos[N][r], want[N])
                     break
             if bad:
                 break

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crankrank import cli, moments
+from crankrank import cli, moments, verification
 from crankrank import series as qs
 
 
@@ -59,9 +59,12 @@ class TestVerify:
         assert "PASS table-vs-brute-crank" in out
 
     def test_json_report(self, capsys, tmp_path):
+        # --out adds the JSON file; the text report on stdout is unchanged
         path = tmp_path / "report.json"
-        code, _, _ = run_cli(capsys, "verify", "--nmax", "25", "--out", str(path))
+        _, plain, _ = run_cli(capsys, "verify", "--nmax", "25")
+        code, out, _ = run_cli(capsys, "verify", "--nmax", "25", "--out", str(path))
         assert code == 0
+        assert out == plain
         data = json.loads(path.read_text())
         assert data["passed"] is True
         assert any(c["name"] == "parity-predictor" for c in data["checks"])
@@ -196,6 +199,21 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "tables", "--mystery")[0] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--dtilde-variant", "eta"],
+        ["moments", "--ladder", "1,2,3"],
+        ["spt-ospt", "--r", "1"],
+        ["verify", "--format", "json"],
+        ["asym", "--nmax", "10"],
+        ["circle", "--nmax", "10"],
+        ["parity", "--ladder", "1,2,3"],
+    ], ids=lambda argv: argv[0])
+    def test_foreign_flag_rejected(self, capsys, argv):
+        # each subcommand accepts only the flags it reads
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
     def test_bad_int_list(self, capsys):
         assert run_cli(capsys, "asym", "--ladder", "a,b")[0] == 1
 
@@ -218,3 +236,24 @@ class TestDeterminism:
         code, _, _ = run_cli(capsys, "parity", "--nmax", "5", "--out", str(path))
         assert code == 0
         assert path.read_text() == out
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda: cli.main(["moments", "--nmax", "30", "--r", "1,2,3,4,5,6"]), 12),
+    (lambda: cli.main(["asym", "--ladder", "60,120,240", "--r", "1,2,3"]), 6),
+    (lambda: verification.build_context(30, 10), 20),
+], ids=["moments", "asym", "build_context"])
+def test_each_quotient_formed_once(run, calls, capsys, monkeypatch):
+    # one appell_sum per (ell, r): 6 orders x 2 sides, 3 x 2, 10 x 2
+    seen = []
+    appell_sum = qs.appell_sum
+
+    def counting(ell, r, nmax):
+        seen.append((ell, r))
+        return appell_sum(ell, r, nmax)
+
+    monkeypatch.setattr(qs, "appell_sum", counting)
+    run()
+    capsys.readouterr()
+    assert len(seen) == calls
+    assert len(set(seen)) == calls

@@ -153,7 +153,7 @@ class TestBasisChange:
 
     def test_series_route_positive_moments(self, small_tables):
         for kind in ("crank", "rank"):
-            for r in (1, 2, 5):
+            for r in range(1, 11):
                 got = mm.positive_moment_series(kind, r, 40).values
                 want = [
                     small_tables[kind].positive_moment(r, N) for N in range(41)

@@ -168,15 +168,6 @@ class TestAggregates:
         values = [pt.brute_aggregates(n).ospt_strings for n in range(1, 22)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_csv(self, tmp_path):
-        rows = [pt.brute_aggregates(n) for n in (1, 2)]
-        path = tmp_path / "agg.csv"
-        with open(path, "w") as fh:
-            pt.write_aggregates_csv(rows, fh)
-        assert path.read_text() == (
-            "N,spt,ospt_strings,durfee_sum,p\n1,1,1,1,1\n2,3,1,2,2\n"
-        )
-
 
 def conjugate(parts):
     if not parts:

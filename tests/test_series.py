@@ -271,17 +271,6 @@ class TestComplexEvaluation:
             qs.appell_sum_value(1, 1, 0.9, tol=1e-30, max_terms=3)
         assert err.value.achieved_bound is not None
 
-    def test_dispatcher(self):
-        v1 = qs.eval_complex("euler_inverse", 0.3).value
-        v2 = qs.euler_inverse_value(0.3).value
-        assert v1 == v2
-        assert qs.eval_complex("appell_sum", 0.3, ell=1, r=2).value == \
-            qs.appell_sum_value(1, 2, 0.3).value
-        with pytest.raises(ValueError):
-            qs.eval_complex("appell_sum", 0.3)
-        with pytest.raises(ValueError):
-            qs.eval_complex("mystery", 0.3)
-
     def test_certified_bound_is_honest(self):
         # compare against a much tighter evaluation
         loose = qs.appell_sum_value(1, 3, 0.6 + 0.1j, tol=1e-6)

@@ -51,6 +51,18 @@ def test_aggregate_failure_detection():
     assert results["durfee-first-moment"].passed
 
 
+def test_reconciliation_failure_detection():
+    ctx = vr.build_context(30, 10)
+    ctx.sym_crank[3][17] += 1
+    results = {r.name: r for r in vr.check_basis_change(ctx)}
+    bad = results["positive-moment-reconciliation"]
+    assert not bad.passed
+    assert bad.counterexample["kind"] == "crank"
+    assert bad.counterexample["r"] == 3
+    assert bad.counterexample["N"] == 17
+    assert results["basis-change-polynomial"].passed
+
+
 def test_brute_cap_respected():
     ctx = vr.build_context(20, brute_nmax=10)
     assert ctx.brute_nmax == 10
