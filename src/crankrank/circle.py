@@ -12,10 +12,9 @@ analysis (``ml_alphas``), the weighted theta sums controlling the main arc
 of sampled smooth sums (``zagier_expansion`` and friends) that powers the
 small-argument limits.
 
-Complex evaluation near the unit circle always goes through the defining
-sums and products (series module ``*_value`` functions or their vectorized
-counterparts here), never through truncated integer expansions, which
-cannot see the essential singularity.
+Complex evaluation near the unit circle always goes through the certified
+series module ``*_value`` functions, on whole arrays of quadrature nodes,
+never through truncated integer expansions, blind to the essential singularity.
 """
 
 from __future__ import annotations
@@ -191,20 +190,19 @@ def alternating_theta(ell: int, j: int, tau: complex, rho: float = 0.0,
         raise ValueError("tau must lie in the upper half-plane")
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    acc = 0j
     grow = max(0, -j)
-    for n in range(1, max_terms + 1):
+
+    def term(n):
         phase = 2j * cmath.pi * tau * (0.5 * ell * n * n + rho * n)
-        term = (n ** float(-j)) * cmath.exp(phase)
-        acc += term if n % 2 == 1 else -term
+        return (n ** float(-j)) * cmath.exp(phase)
+
+    def tail(n):
         nb = n + 1
         head = nb ** grow * math.exp(-math.pi * ell * nb * nb * y)
         ratio = 2.0 ** grow * math.exp(-math.pi * ell * (2 * nb + 1) * y)
-        if ratio < 1.0:
-            tail = head / (1.0 - ratio)
-            if tail <= tol * max(abs(acc), 1e-300):
-                return acc
-    raise ConvergenceError(f"theta sum did not converge in {max_terms} terms")
+        return head / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+    return qs._alternating_sum(term, tail, tol, max_terms, "theta sum").value
 
 
 def euler_inversion_ratio(tau: complex, tol: float = 1e-13) -> complex:
@@ -279,34 +277,6 @@ class QuadratureReport:
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
-def _euler_inverse_vec(logq: np.ndarray, decay: float) -> np.ndarray:
-    """Vectorized 1/(q;q)_inf for points with common |q| = e^{-decay}."""
-    jmax = max(8, int(math.ceil(45.0 / decay)))
-    q = np.exp(logq)
-    prod = np.ones_like(q)
-    qpow = np.ones_like(q)
-    for _ in range(jmax):
-        qpow = qpow * q
-        prod = prod * (1.0 - qpow)
-    return 1.0 / prod
-
-
-def _appell_sum_vec(ell: int, r: int, logq: np.ndarray, decay: float) -> np.ndarray:
-    """Vectorized one-sided Appell-type sum for points with |q| = e^{-decay}."""
-    rho2 = 0 if r % 2 == 1 else 1
-    acc = np.zeros_like(logq)
-    n = 1
-    while True:
-        expo = (ell * n * n + (r + rho2) * n) // 2
-        if expo * decay > 52.0:
-            break
-        qn = np.exp(n * logq)
-        term = np.exp(expo * logq) / (1.0 - qn) ** r
-        acc = acc + term if n % 2 == 1 else acc - term
-        n += 1
-    return acc
-
-
 def _composite_gl(fn, lo: float, hi: float, panels: int) -> complex:
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -333,6 +303,13 @@ def _refine_gl(fn, lo: float, hi: float, start_panels: int, tol_abs: float,
     )
 
 
+def check_quadrature_order(N: int) -> None:
+    """Refuse N outside [20, 400], where the integrand magnitude
+    e^{2 pi sqrt(N/6)}-ish stays comfortably inside double precision."""
+    if not 20 <= N <= 400:
+        raise ValueError("N must be in [20, 400] for double-precision quadrature")
+
+
 def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
                      exact: int | None = None,
                      target_rel: float = 1e-8) -> QuadratureReport:
@@ -344,12 +321,9 @@ def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
     must reproduce the exact integer coefficient of q^N; the report also
     carries |error arc| / |main arc|, which decays in N.
 
-    N is restricted to [20, 400], the window where the integrand
-    magnitude e^{2 pi sqrt(N/6)}-ish stays comfortably inside double
-    precision.
+    N is restricted by ``check_quadrature_order``.
     """
-    if not 20 <= N <= 400:
-        raise ValueError("N must be in [20, 400] for double-precision quadrature")
+    check_quadrature_order(N)
     if r < 1:
         raise ValueError("r must be >= 1")
     if ell not in (1, 3):
@@ -359,8 +333,10 @@ def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
     amplitude = math.exp(math.pi * math.sqrt(N / 6.0))
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        logq = -decay + 2j * math.pi * xs
-        f = _appell_sum_vec(ell, r, logq, decay) * _euler_inverse_vec(logq, decay)
+        q = np.exp(-decay + 2j * math.pi * xs)
+        # evaluator tolerance far below any quadrature target
+        f = (qs.appell_sum_value(ell, r, q, 1e-15).value
+             * qs.euler_inverse_value(q, 1e-15).value)
         return f * amplitude * np.exp(-2j * math.pi * N * xs)
 
     if exact is None:

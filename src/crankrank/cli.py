@@ -260,11 +260,14 @@ def _cmd_circle(args) -> int:
         circle.write_bound_grid_csv(rows, buf)
         _emit(buf.getvalue(), args.out)
         return 0
+    for N in ladder:  # before any exact coefficient is built up to max(ladder)
+        circle.check_quadrature_order(N)
     reports = []
     for ell in ells:
+        sym = moments.symmetrized_family(ell, r_list, ladder[-1])
         for r in r_list:
             for N in ladder:
-                reports.append(circle.wright_integrals(ell, r, N))
+                reports.append(circle.wright_integrals(ell, r, N, exact=sym[r][N]))
     _emit(json.dumps([rep.as_dict() for rep in reports], indent=2,
                      sort_keys=True), args.out)
     return 0
@@ -317,7 +320,9 @@ def main(argv=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
+        reached = ("" if exc.achieved_bound is None
+                   else f" (achieved bound {exc.achieved_bound:.3g})")
+        print(f"convergence failure: {exc}{reached}", file=sys.stderr)
         return 2
 
 

@@ -25,6 +25,9 @@ back is exact.  Complex floating-point evaluation of the same functions,
 with certified tail bounds, lives in the ``*_value`` functions;
 those sum the defining series directly and never go through the truncated
 integer expansions, so the two routes can be played against each other.
+They take a complex point or a numpy array of points (one tail bound,
+taken at the largest |q|, certifies them all), are the package's only
+complex evaluators, and import numpy on first use only.
 """
 
 from __future__ import annotations
@@ -32,12 +35,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EVAL_MAX_TERMS = 10**6
+
+#: Largest estimated size, in bytes, of a dense crank/rank table that
+#: ``bivariate_series`` allocates (about nmax = 5500).
+TABLE_BYTES_LIMIT = 2**31
 
 
 class ExactSeries:
@@ -321,6 +331,15 @@ def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
+    # (nmax+1)^2 entries, each a list slot and an int object (8 + 28 bytes)
+    # plus the digits of |coefficient| <= p(nmax) < e^{pi sqrt(2 nmax/3)}
+    digit_bytes = math.pi * math.sqrt(2.0 * nmax / 3.0) / math.log(256.0)
+    size = (nmax + 1) ** 2 * (8 + 28 + digit_bytes)
+    if size > TABLE_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"a dense table to nmax={nmax} needs about {size:.3g} bytes, "
+            f"over the limit of {TABLE_BYTES_LIMIT}"
+        )
     p = partition_series(nmax).coeffs
     rows = [[0] * (2 * N + 1) for N in range(nmax + 1)]
     for q0, m, sign in numerator_entries(kind, nmax):
@@ -335,18 +354,14 @@ def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
     return BivariateSeries(rows)
 
 
-def moment_weight(r: int) -> Fraction:
-    """Half-integer shift rho(r): 0 for odd r, 1/2 for even r."""
-    return Fraction(0) if r % 2 == 1 else Fraction(1, 2)
-
-
 def _appell_exponent(ell: int, r: int, n: int) -> int:
-    """Integer exponent l*n^2/2 + (r/2 + rho)*n, asserted integral."""
-    rho = moment_weight(r)
-    e = Fraction(ell * n * n, 2) + (Fraction(r, 2) + rho) * n
-    if e.denominator != 1:
+    """Integer exponent l*n^2/2 + (r/2 + rho)*n, asserted integral.
+
+    rho is 0 for odd r and 1/2 for even r, so r + 2 rho = r + 1 - r % 2."""
+    twice = ell * n * n + (r + 1 - r % 2) * n
+    if twice % 2:
         raise AssertionError(f"non-integral exponent for ell={ell}, r={r}, n={n}")
-    return e.numerator
+    return twice // 2
 
 
 def appell_sum(ell: int, r: int, nmax: int) -> ExactSeries:
@@ -414,34 +429,61 @@ def ospt_series(nmax: int) -> ExactSeries:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A floating-point evaluation together with its certified tail bound."""
+    """A floating-point evaluation (of q's shape) and its certified tail bound."""
 
-    value: complex
+    value: complex | np.ndarray
     tail_bound: float
     terms: int
 
 
-def _check_disk(q: complex) -> float:
-    aq = abs(q)
+def _disk_points(q, tol: float):
+    """Check a point or an array of points; return q, max|q|, log and exp.
+
+    Sparse powers q^k are exp(k log q), log q taken once.  Only a scalar q may be 0."""
+    import numpy as np
+    array = np.ndim(q) > 0
+    q = np.asarray(q, dtype=complex) if array else q
+    absq = np.abs(q)
+    aq = float(np.max(absq))
     if aq >= 1.0:
         raise ValueError(f"|q| must be < 1, got |q| = {aq}")
-    return aq
-
-
-def euler_inverse_value(q: complex, tol: float = 1e-12,
-                        max_terms: int = EVAL_MAX_TERMS) -> SeriesValue:
-    """Evaluate 1/(q;q)_inf by direct products.
-
-    Multiplies out (1 - q^j) until the remaining log-tail
-    sum_{j>J} |q|^j / (1-|q|^j) certifies a relative error below tol.
-    """
-    aq = _check_disk(q)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if q == 0:
-        return SeriesValue(1.0 + 0.0j, 0.0, 0)
-    prod = 1.0 + 0.0j
-    qpow = 1.0 + 0.0j
+    if array and not absq.min() > 0.0:
+        raise ValueError("array points must be nonzero")
+    return (q, aq, np.log, np.exp) if array else (q, aq, cmath.log, cmath.exp)
+
+
+def _alternating_sum(term, tail, tol, max_terms, name) -> SeriesValue:
+    """sum_{n>=1} (-1)^{n+1} term(n), stopped by a certified tail bound.
+
+    ``tail(n)`` bounds the remainder after n terms at every point (inf while
+    none holds); the sum stops once it is <= tol * min |partial sum|."""
+    import numpy as np
+    acc = 0j
+    best = math.inf
+    for n in range(1, max_terms + 1):
+        t = term(n)
+        acc = acc + t if n % 2 == 1 else acc - t
+        bound = tail(n)
+        best = min(best, bound)
+        if bound <= tol * max(float(np.abs(acc).min()), 1e-300):
+            return SeriesValue(acc, bound, n)
+    raise ConvergenceError(f"{name} did not converge in {max_terms} terms",
+                           achieved_bound=best)
+
+
+def euler_inverse_value(q, tol: float = 1e-12,
+                        max_terms: int = EVAL_MAX_TERMS) -> SeriesValue:
+    """Evaluate 1/(q;q)_inf by direct products, at a point or an array of them.
+
+    Multiplies out (1 - q^j) until the remaining log-tail
+    sum_{j>J} |q|^j / (1-|q|^j), taken at max|q|, certifies a relative
+    error below tol at every point.
+    """
+    import numpy as np
+    q, aq, _, _ = _disk_points(q, tol)
+    prod = qpow = 1.0 + 0.0j
     for j in range(1, max_terms + 1):
         qpow *= q
         prod *= 1.0 - qpow
@@ -450,82 +492,71 @@ def euler_inverse_value(q: complex, tol: float = 1e-12,
         rel = math.expm1(eps) if eps < 1.0 else float("inf")
         if rel <= tol:
             value = 1.0 / prod
-            return SeriesValue(value, rel * abs(value), j)
+            return SeriesValue(value, rel * float(np.abs(value).max()), j)
     raise ConvergenceError(
         f"euler_inverse did not converge in {max_terms} terms", achieved_bound=rel
     )
 
 
-def appell_sum_value(ell: int, r: int, q: complex, tol: float = 1e-12,
+def appell_sum_value(ell: int, r: int, q, tol: float = 1e-12,
                      max_terms: int = EVAL_MAX_TERMS) -> SeriesValue:
-    """Evaluate the one-sided Appell-type sum directly at a complex point.
+    """Evaluate the one-sided Appell-type sum directly, at a point or an array of them.
 
     The term bound |q|^{E(n)} / (1-|q|)^r decays like a Gaussian in n;
-    summation stops when the geometric majorant of the tail drops below
-    tol times the partial sum.
+    summation stops when the geometric majorant of the tail, taken at
+    max|q|, drops below tol times the partial sum.
     """
     if ell not in (1, 3):
         raise ValueError(f"ell must be 1 or 3, got {ell}")
     if r < 1:
         raise ValueError("r must be >= 1")
-    aq = _check_disk(q)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if q == 0:
+    q, aq, log, exp = _disk_points(q, tol)
+    if aq == 0:
         return SeriesValue(0.0 + 0.0j, 0.0, 0)
-    acc = 0.0 + 0.0j
+    logq = log(q)
     one_minus = 1.0 - aq
-    best = float("inf")
-    for n in range(1, max_terms + 1):
-        e = _appell_exponent(ell, r, n)
-        qn = q ** n
-        term = (q ** e) / (1.0 - qn) ** r
-        acc += term if n % 2 == 1 else -term
+
+    def term(n):
+        return (exp(_appell_exponent(ell, r, n) * logq)
+                / (1.0 - exp(n * logq)) ** r)
+
+    def tail(n):
         # tail <= bound(n+1) / (1 - |q|^{l(n+1)}): exponent gaps are >= l*n
         nb = n + 1
         head = aq ** _appell_exponent(ell, r, nb) / one_minus ** r
-        ratio = aq ** (ell * nb)
-        tail = head / (1.0 - ratio)
-        best = min(best, tail)
-        if tail <= tol * max(abs(acc), 1e-300):
-            return SeriesValue(acc, tail, n)
-    raise ConvergenceError(
-        f"appell_sum did not converge in {max_terms} terms", achieved_bound=best
-    )
+        return head / (1.0 - aq ** (ell * nb))
+
+    return _alternating_sum(term, tail, tol, max_terms, "appell_sum")
 
 
-def ospt_numerator_value(q: complex, tol: float = 1e-12,
+def ospt_numerator_value(q, tol: float = 1e-12,
                          max_terms: int = EVAL_MAX_TERMS) -> SeriesValue:
-    """Evaluate the ospt numerator series directly at a complex point.
+    """Evaluate the ospt numerator series directly, at a point or an array of them.
 
     Uses |(1-q^{n^2})/(1-q^n)| <= n, giving the term bound
     n |q|^{n(n+1)/2} and a geometric tail majorant.
     """
-    aq = _check_disk(q)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if q == 0:
+    import numpy as np
+    q, aq, log, exp = _disk_points(q, tol)
+    if aq == 0:
         return SeriesValue(0.0 + 0.0j, 0.0, 0)
-    acc = 0.0 + 0.0j
-    best = float("inf")
-    for n in range(1, max_terms + 1):
-        qn = q ** n
-        if qn == 1.0:  # numerically degenerate; cannot happen for |q|<1
+    logq = log(q)
+
+    def term(n):
+        qn = exp(n * logq)
+        if np.any(qn == 1.0):  # numerically degenerate; cannot happen for |q|<1
             raise ArithmeticError("q^n == 1 inside the unit disk")
-        term = q ** (n * (n + 1) // 2) * (1.0 - q ** (n * n)) / (1.0 - qn)
-        acc += term if n % 2 == 1 else -term
+        return (exp(n * (n + 1) // 2 * logq) * (1.0 - exp(n * n * logq))
+                / (1.0 - qn))
+
+    def tail(n):
         nb = n + 1
         head = nb * aq ** (nb * (nb + 1) // 2)
         # bound on b_{m+1}/b_m for m >= nb, decreasing in m
         ratio = (1.0 + 1.0 / nb) * aq ** (nb + 1)
-        if ratio < 1.0:
-            tail = head / (1.0 - ratio)
-            best = min(best, tail)
-            if tail <= tol * max(abs(acc), 1e-300):
-                return SeriesValue(acc, tail, n)
-    raise ConvergenceError(
-        f"ospt_numerator did not converge in {max_terms} terms", achieved_bound=best
-    )
+        return head / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+    return _alternating_sum(term, tail, tol, max_terms, "ospt_numerator")
 
 
 def tau_to_q(tau: complex) -> complex:

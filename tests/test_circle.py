@@ -123,6 +123,12 @@ class TestAlternatingTheta:
         with pytest.raises(ValueError):
             cm.alternating_theta(1, 2, 1.0 + 0j)
 
+    def test_unreachable_tolerance(self):
+        with pytest.raises(ConvergenceError) as err:
+            cm.alternating_theta(1, 2, 0.001 + 0.002j, max_terms=3)
+        bound = err.value.achieved_bound
+        assert bound is not None and 0 < bound < math.inf
+
 
 class TestMainArcExpansions:
     def test_euler_inversion_ratio(self):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from crankrank import cli, moments, verification
+from crankrank import circle, cli, moments, verification
 from crankrank import series as qs
+from crankrank.errors import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,28 @@ class TestCircleCommand:
         assert code == 1
         assert "exactly one" in err
 
+    def test_ladder_outside_window(self, capsys, monkeypatch):
+        # rejected before any exact coefficient is computed up to max(ladder)
+        built = []
+        monkeypatch.setattr(moments, "symmetrized_family",
+                            lambda *args: built.append(args))
+        code, _, err = run_cli(capsys, "circle", "--ladder", "50,100000000")
+        assert code == 1
+        assert "N must be in [20, 400]" in err
+        assert built == []
+
+    def test_convergence_failure_shows_bound(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("quadrature stub", achieved_bound=2.5e-7)
+
+        monkeypatch.setattr(circle, "wright_integrals", failing)
+        code, out, err = run_cli(capsys, "circle", "--ladder", "50",
+                                 "--r", "3", "--ell", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("convergence failure: quadrature stub "
+                       "(achieved bound 2.5e-07)\n")
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -217,6 +240,13 @@ class TestUsage:
     def test_bad_int_list(self, capsys):
         assert run_cli(capsys, "asym", "--ladder", "a,b")[0] == 1
 
+    def test_resource_limit_exits_three(self, capsys):
+        # refused from the size estimate, before the table is allocated
+        code, out, err = run_cli(capsys, "tables", "--nmax", "1000000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit: ")
+
     def test_resource_exit_code(self, capsys):
         # nmax far past the enumeration cap still works for series routes;
         # force the brute cap through verify
@@ -242,9 +272,10 @@ class TestDeterminism:
     (lambda: cli.main(["moments", "--nmax", "30", "--r", "1,2,3,4,5,6"]), 12),
     (lambda: cli.main(["asym", "--ladder", "60,120,240", "--r", "1,2,3"]), 6),
     (lambda: verification.build_context(30, 10), 20),
-], ids=["moments", "asym", "build_context"])
+    (lambda: cli.main(["circle", "--r", "1,2,3", "--ladder", "50,60"]), 6),
+], ids=["moments", "asym", "build_context", "circle"])
 def test_each_quotient_formed_once(run, calls, capsys, monkeypatch):
-    # one appell_sum per (ell, r): 6 orders x 2 sides, 3 x 2, 10 x 2
+    # one appell_sum per (ell, r): 6 orders x 2 sides, 3 x 2, 10 x 2, 3 x 2
     seen = []
     appell_sum = qs.appell_sum
 

@@ -1,5 +1,8 @@
+import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -276,6 +279,111 @@ class TestComplexEvaluation:
         loose = qs.appell_sum_value(1, 3, 0.6 + 0.1j, tol=1e-6)
         tight = qs.appell_sum_value(1, 3, 0.6 + 0.1j, tol=1e-14)
         assert abs(loose.value - tight.value) <= loose.tail_bound
+
+
+_RADIUS = st.floats(0.05, 0.95)
+
+
+@st.composite
+def disk_points(draw):
+    """Up to 8 points on one circle or on circles of mixed radii."""
+    angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        radii = [draw(_RADIUS)] * len(angles)
+    else:
+        radii = draw(st.lists(_RADIUS, min_size=len(angles), max_size=len(angles)))
+    return np.array([cmath.rect(rad, a) for rad, a in zip(radii, angles)])
+
+
+def appell_exponent(ell, r, n):
+    """l n^2/2 + (r/2 + rho) n with rho = 0 for odd r and 1/2 for even r."""
+    return (ell * n * n + (r + 1 - r % 2) * n) // 2
+
+
+def appell_term_majorants(ell, r, aq, terms):
+    """|q|^E(n) / (1 - |q|)^r for n <= terms: rounding scale of a summation."""
+    return sum(aq ** appell_exponent(ell, r, n) / (1.0 - aq) ** r
+               for n in range(1, terms + 1))
+
+
+class TestArrayEvaluation:
+    """The evaluators on numpy arrays agree with their scalar results."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=disk_points(), ell=st.sampled_from((1, 3)), r=st.integers(1, 6))
+    def test_appell_array_matches_points(self, q, ell, r):
+        res = qs.appell_sum_value(ell, r, q)
+        assert res.value.shape == q.shape
+        aq = float(np.abs(q).max())
+        rounding = 1e-13 * appell_term_majorants(ell, r, aq, res.terms)
+        for z, got in zip(q, res.value):
+            point = qs.appell_sum_value(ell, r, complex(z))
+            # the array sum runs at least as far as the scalar one, and the
+            # scalar tail majorant bounds every stretch of its remainder
+            assert res.terms >= point.terms
+            assert abs(got - point.value) <= point.tail_bound + rounding
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=disk_points())
+    def test_euler_array_matches_points(self, q):
+        res = qs.euler_inverse_value(q)
+        assert res.value.shape == q.shape
+        for z, got in zip(q, res.value):
+            point = qs.euler_inverse_value(complex(z))
+            assert res.terms >= point.terms
+            assert (abs(got - point.value)
+                    <= point.tail_bound + 1e-13 * abs(point.value))
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=disk_points())
+    def test_ospt_numerator_array_matches_points(self, q):
+        res = qs.ospt_numerator_value(q)
+        assert res.value.shape == q.shape
+        aq = float(np.abs(q).max())
+        rounding = 1e-13 * sum(n * aq ** (n * (n + 1) // 2)
+                               for n in range(1, res.terms + 1))
+        for z, got in zip(q, res.value):
+            point = qs.ospt_numerator_value(complex(z))
+            assert abs(got - point.value) <= point.tail_bound + rounding
+
+    def test_two_dimensional_shape(self):
+        q = np.full((2, 3), 0.3 + 0.4j)
+        assert qs.appell_sum_value(1, 2, q).value.shape == (2, 3)
+        assert qs.euler_inverse_value(q).value.shape == (2, 3)
+
+    def test_array_points_checked(self):
+        with pytest.raises(ValueError, match=r"\|q\|"):
+            qs.appell_sum_value(1, 1, np.array([0.5, 1.0 + 0j]))
+        with pytest.raises(ValueError, match="nonzero"):
+            qs.euler_inverse_value(np.array([0.5, 0j]))
+
+
+class TestAgainstMpmath:
+    """The integrand's points near |q| = e^{-pi/sqrt(6*400)}, at 40 digits."""
+
+    decay = math.pi / math.sqrt(6.0 * 400)
+    q = np.exp(-decay + 2j * math.pi * np.array(
+        [0.0, 0.002, 0.0102, 0.03, 0.11, 0.25, 0.37, 0.4999]))
+
+    @pytest.mark.parametrize("ell", [1, 3])
+    @pytest.mark.parametrize("r", [1, 2, 4, 6])
+    def test_appell_sum(self, ell, r):
+        res = qs.appell_sum_value(ell, r, self.q, 1e-15)
+        with mpmath.workdps(40):
+            for got, z in zip(res.value, self.q):
+                z = mpmath.mpc(z.real, z.imag)
+                terms = [(-1) ** (n + 1) * z ** appell_exponent(ell, r, n)
+                         / (1 - z ** n) ** r for n in range(1, 120)]
+                ref = complex(mpmath.fsum(terms))
+                scale = float(mpmath.fsum(abs(t) for t in terms))
+                assert abs(got - ref) <= res.tail_bound + 1e-13 * scale
+
+    def test_euler_inverse(self):
+        res = qs.euler_inverse_value(self.q, 1e-15)
+        with mpmath.workdps(40):
+            for got, z in zip(res.value, self.q):
+                ref = complex(1 / mpmath.qp(mpmath.mpc(z.real, z.imag)))
+                assert abs(got - ref) <= res.tail_bound + 1e-13 * abs(ref)
 
 
 def test_series_csv(tmp_path):
