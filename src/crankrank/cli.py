@@ -120,13 +120,14 @@ def _validate_ladder(ladder) -> None:
 
 def _cmd_tables(args) -> int:
     kinds = ("crank", "rank") if args.kind == "both" else (args.kind,)
+    qs.check_dense_table(args.nmax)  # before any table is built
     lines = []
     as_json = []
     for kind in kinds:
         conv = args.convention if kind == "crank" else moments.GENERATING_FUNCTION
         table = moments.CrankRankTable.build(kind, args.nmax, conv)
-        for N in range(table.nmax + 1):
-            row = table.rows[N]
+        # one kind's dense rows at a time
+        for N, row in enumerate(table.dense_rows()):
             for i, c in enumerate(row):
                 if c:
                     if args.format == "csv":
@@ -151,8 +152,7 @@ def _cmd_moments(args) -> int:
         if args.variant == "full":
             table = moments.CrankRankTable.build(kind, args.nmax)
             for r in r_list:
-                values[r, ell] = [table.full_moment(r, N)
-                                  for N in range(args.nmax + 1)]
+                values[r, ell] = table.full_moments(r)
         elif args.variant == "symmetrized":
             sym = moments.symmetrized_family(ell, r_list, args.nmax)
             for r in r_list:

@@ -27,6 +27,7 @@ zero) is available for table export only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -41,24 +42,40 @@ COMBINATORIAL = "combinatorial"
 DEFAULT_NMAX = 2000
 
 
-class CrankRankTable:
-    """Exact histogram counts[N][m] of crank or rank over partitions of N.
+def _positive_power(r: int):
+    """The weight m^r on m >= 1, 0 elsewhere."""
+    return lambda m: m ** r if m >= 1 else 0
 
-    Rows are dense Laurent rows of length 2N+1 (index m+N).  The negative
-    and positive halves are computed independently from the generating
-    function, so row symmetry is a genuine check rather than a storage
-    artifact.
+
+def _binomial(r: int):
+    """The weight C(m + floor((r-1)/2), r) on m >= 1, 0 elsewhere."""
+    off = (r - 1) // 2
+    return lambda m: comb(m + off, r) if m >= 1 else 0
+
+
+class CrankRankTable(qs.BivariateSeries):
+    """Exact histogram counts M(m, N) of crank or rank over partitions of N.
+
+    The table is kept factorized (see ``series.BivariateSeries``): the
+    sparse numerator columns of the generating function and p(N).  Every
+    sum over m with weight w(m) is then one product of the weighted
+    numerator with p, so no bulk moment unpacks the histogram.  Dense
+    rows, of length 2N+1 with index m+N, are built only for export and
+    row lookups (``rows``, ``distribution``, ``count``, ``write_csv``).
+    Columns m and -m hold separately computed monomials, so row symmetry
+    is a genuine check rather than a storage artifact.
     """
 
-    def __init__(self, kind: str, rows, convention: str = GENERATING_FUNCTION):
+    def __init__(self, kind: str, columns: dict, p: qs.ExactSeries,
+                 convention: str = GENERATING_FUNCTION):
         if kind not in ("crank", "rank"):
             raise ValueError(f"kind must be 'crank' or 'rank', got {kind!r}")
         if convention not in (GENERATING_FUNCTION, COMBINATORIAL):
             raise ValueError(f"unknown convention {convention!r}")
         if convention == COMBINATORIAL and kind != "crank":
             raise ValueError("the combinatorial convention only applies to crank")
+        super().__init__(columns, p)
         self.kind = kind
-        self.rows = rows
         self.convention = convention
 
     @classmethod
@@ -66,135 +83,109 @@ class CrankRankTable:
               convention: str = GENERATING_FUNCTION) -> "CrankRankTable":
         """Extract the table from the bivariate generating function.
 
-        With convention="combinatorial" (crank only) the N=1 row is
-        patched from {-1: 1, 0: -1, 1: 1} to the true count {0: 1}.
+        With convention="combinatorial" (crank only) the N=1 row reads the
+        true count {0: 1} instead of {-1: 1, 0: -1, 1: 1}.
         """
         biv = qs.bivariate_series(kind, nmax)
-        table = cls(kind, biv.terms, GENERATING_FUNCTION)
-        if convention == COMBINATORIAL:
-            if kind != "crank":
-                raise ValueError("the combinatorial convention only applies to crank")
-            rows = list(table.rows)
-            if nmax >= 1:
-                rows[1] = [0, 1, 0]
-            table = cls(kind, rows, COMBINATORIAL)
-        return table
+        return cls(kind, biv.columns, biv.p, convention)
 
-    @property
-    def nmax(self) -> int:
-        return len(self.rows) - 1
+    def dense_row(self, N: int) -> list:
+        if N == 1 and self.convention == COMBINATORIAL:
+            return [0, 1, 0]
+        return super().dense_row(N)
+
+    def dense_rows(self) -> list:
+        rows = super().dense_rows()
+        if self.nmax >= 1 and self.convention == COMBINATORIAL:
+            rows[1] = [0, 1, 0]
+        return rows
+
+    @functools.cached_property
+    def rows(self) -> list:
+        """Every dense row, unpacked on first access and then kept."""
+        return self.dense_rows()
+
+    def _check_row(self, N: int) -> None:
+        if not 0 <= N <= self.nmax:
+            raise ValueError(f"N={N} outside table range 0..{self.nmax}")
 
     def count(self, m: int, N: int) -> int:
         """Number of partitions of N with statistic value m."""
-        if not 0 <= N <= self.nmax:
-            raise ValueError(f"N={N} outside table range 0..{self.nmax}")
+        self._check_row(N)
         if abs(m) > N:
             return 0
-        return self.rows[N][m + N]
+        return self.dense_row(N)[m + N]
 
     def distribution(self, N: int) -> dict:
         """Nonzero histogram entries of row N as a map m -> count."""
-        if not 0 <= N <= self.nmax:
-            raise ValueError(f"N={N} outside table range 0..{self.nmax}")
-        return {m - N: c for m, c in enumerate(self.rows[N]) if c}
+        self._check_row(N)
+        return self.row(N)
 
-    def _require_gf(self) -> None:
+    def _moments(self, weight) -> list:
+        """sum_m weight(m) counts[N][m] for every N."""
         if self.convention != GENERATING_FUNCTION:
             raise ValueError(
                 "moments are defined on the generating-function convention; "
                 "rebuild the table without the combinatorial patch"
             )
+        return self.weighted(weight).coeffs
 
     def positive_moment(self, r: int, N: int) -> int:
         """sum_{m>=1} m^r counts[N][m]; r=0 gives the positive-value count."""
-        self._require_gf()
         if r < 0:
             raise ValueError("r must be >= 0")
-        row = self.rows[N] if 0 <= N <= self.nmax else None
-        if row is None:
-            raise ValueError(f"N={N} outside table range 0..{self.nmax}")
-        return sum(m ** r * row[m + N] for m in range(1, N + 1))
+        self._check_row(N)
+        return self._moments(_positive_power(r))[N]
+
+    def full_moments(self, r: int) -> list:
+        """sum over all m of m^r counts[N][m], both signs included, for every N."""
+        if r < 0:
+            raise ValueError("r must be >= 0")
+        return self._moments(lambda m: m ** r)
 
     def full_moment(self, r: int, N: int) -> int:
         """sum over all m of m^r counts[N][m], both signs included."""
-        self._require_gf()
-        if r < 0:
-            raise ValueError("r must be >= 0")
-        if not 0 <= N <= self.nmax:
-            raise ValueError(f"N={N} outside table range 0..{self.nmax}")
-        row = self.rows[N]
-        return sum(m ** r * row[m + N] for m in range(-N, N + 1))
+        self._check_row(N)
+        return self.full_moments(r)[N]
 
-    def symmetrized_moment(self, r: int, N: int) -> int:
-        """sum_{m>=1} C(m + floor((r-1)/2), r) counts[N][m].
+    def symmetrized_moments(self, r: int) -> list:
+        """sum_{m>=1} C(m + floor((r-1)/2), r) counts[N][m] for every N.
 
         This is the direct binomial-weighted route; it must coincide with
         the coefficients of ``symmetrized_family``.
         """
-        self._require_gf()
         if r < 1:
             raise ValueError("r must be >= 1")
-        if not 0 <= N <= self.nmax:
-            raise ValueError(f"N={N} outside table range 0..{self.nmax}")
-        off = (r - 1) // 2
-        row = self.rows[N]
-        return sum(
-            comb(m + off, r) * row[m + N]
-            for m in range(1, N + 1)
-            if row[m + N]
-        )
+        return self._moments(_binomial(r))
+
+    def symmetrized_moment(self, r: int, N: int) -> int:
+        """sum_{m>=1} C(m + floor((r-1)/2), r) counts[N][m]."""
+        self._check_row(N)
+        return self.symmetrized_moments(r)[N]
 
     def positive_moments_upto(self, r_max: int):
-        """All positive moments r=0..r_max for every N, in one table pass.
+        """All positive moments r=0..r_max for every N, one product per order.
 
-        Returns a list indexed by N of lists indexed by r.  Powers of m
-        are built incrementally, which is what makes r_max=10 over the
-        full default range affordable.
+        Returns a list indexed by N of lists indexed by r.
         """
-        self._require_gf()
-        out = []
-        for N in range(self.nmax + 1):
-            row = self.rows[N]
-            acc = [0] * (r_max + 1)
-            for m in range(1, N + 1):
-                c = row[m + N]
-                if c:
-                    acc[0] += c
-                    pw = 1
-                    for r in range(1, r_max + 1):
-                        pw *= m
-                        acc[r] += pw * c
-            out.append(acc)
-        return out
+        orders = [self._moments(_positive_power(r)) for r in range(r_max + 1)]
+        return [list(at_N) for at_N in zip(*orders)]
 
     def full_even_moments_upto(self, k_max: int):
-        """Full moments of orders 2, 4, ..., 2*k_max for every N, one pass.
+        """Full moments of orders 2, 4, ..., 2*k_max for every N, one product each.
 
-        Sums m^{2k} (counts[N][m] + counts[N][-m]) over m >= 1, touching
-        both halves of each row independently, so this does not assume the
-        symmetry it is typically used to cross-check.  Returns a list
-        indexed by N of lists indexed by k (entry 0 unused).
+        Weighs m^{2k} on every column m <= -1 and m >= 1 by itself, so this
+        does not assume the symmetry it is typically used to cross-check.
+        Returns a list indexed by N of lists indexed by k (entry 0 unused).
         """
-        self._require_gf()
-        out = []
-        for N in range(self.nmax + 1):
-            row = self.rows[N]
-            acc = [0] * (k_max + 1)
-            for m in range(1, N + 1):
-                c = row[N + m] + row[N - m]
-                if c:
-                    m2 = m * m
-                    pw = 1
-                    for k in range(1, k_max + 1):
-                        pw *= m2
-                        acc[k] += pw * c
-            out.append(acc)
-        return out
+        orders = [[0] * (self.nmax + 1)]
+        orders += [self.full_moments(2 * k) for k in range(1, k_max + 1)]
+        return [list(at_N) for at_N in zip(*orders)]
 
     def write_csv(self, fh) -> None:
         """Write rows ``kind,n,m,coefficient`` sorted by (n, m)."""
         fh.write("kind,n,m,coefficient\n")
-        for N, row in enumerate(self.rows):
+        for N, row in enumerate(self.dense_rows()):
             for i, c in enumerate(row):
                 if c:
                     fh.write(f"{self.kind},{N},{i - N},{c}\n")

@@ -45,8 +45,9 @@ if TYPE_CHECKING:
 
 EVAL_MAX_TERMS = 10**6
 
-#: Largest estimated size, in bytes, of a dense crank/rank table that
-#: ``bivariate_series`` allocates (about nmax = 5500).
+#: Largest estimated size, in bytes, of a crank/rank table: of a dense one
+#: (``check_dense_table``, about nmax = 5500) and of a factorized one
+#: (``bivariate_series``).
 TABLE_BYTES_LIMIT = 2**31
 
 
@@ -181,52 +182,125 @@ def _pack(coeffs, width: int) -> int:
 
 
 class BivariateSeries:
-    """Per-power-of-q Laurent polynomials in the statistic marker w.
+    """A two-variable generating function kept factorized: Num(w, q) / (q;q)_inf.
 
-    ``terms[n]`` is a dense list of 2n+1 integers: index m+n holds the
-    coefficient of w^m q^n.  Every generating function stored here has its
-    w-support inside [-n, n].
+    ``columns[m]`` is the coefficient of w^m in the sparse numerator Num,
+    a map q-exponent -> nonzero integer in increasing q-exponent order;
+    ``p`` is 1/(q;q)_inf (``partition_series``) to the same order.  The
+    coefficient of w^m q^n of the function itself is therefore
+    sum_{q0 <= n} columns[m][q0] * p(n - q0).  Sums over m weighted by any
+    w(m) are one product (``weighted``); dense Laurent rows are unpacked
+    only on request (``dense_row``, ``dense_rows``).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("columns", "p")
 
-    def __init__(self, terms):
-        self.terms = terms
-        for n, row in enumerate(terms):
-            if len(row) != 2 * n + 1:
-                raise ValueError(f"row {n} must have {2 * n + 1} entries")
+    def __init__(self, columns: dict, p: ExactSeries):
+        self.columns = columns
+        self.p = p
 
     @property
     def nmax(self) -> int:
-        return len(self.terms) - 1
+        return self.p.nmax
 
-    def coefficient(self, n: int, m: int) -> int:
-        """Coefficient of w^m q^n (zero outside the stored support)."""
-        if abs(m) > n:
-            return 0
-        return self.terms[n][m + n]
+    def weighted(self, weight) -> ExactSeries:
+        """sum_m weight(m) (coefficient series of w^m), as one product with p.
+
+        The weighted numerator sum_m weight(m) columns[m] is formed first,
+        monomial by monomial, then multiplied by p once.
+        """
+        acc = [0] * (self.nmax + 1)
+        for m, col in self.columns.items():
+            w = weight(m)
+            if w:
+                for q0, c in col.items():
+                    acc[q0] += w * c
+        return ExactSeries(acc) * self.p
+
+    def dense_row(self, n: int) -> list:
+        """The q^n coefficient as a dense list of 2n+1 integers, index m+n."""
+        p = self.p.coeffs
+        row = [0] * (2 * n + 1)
+        for m in range(-n, n + 1):
+            for q0, c in self.columns.get(m, {}).items():
+                if q0 > n:
+                    break
+                row[m + n] += c * p[n - q0]
+        return row
+
+    def dense_rows(self) -> list:
+        """Every dense row 0..nmax, monomial by monomial: each numerator
+        monomial c w^m q^q0 adds c p(j) to entry (q0 + j, m) for every j.
+
+        Refused with ResourceLimitError above ``TABLE_BYTES_LIMIT`` (see
+        ``check_dense_table``) before anything is allocated.
+        """
+        nmax = self.nmax
+        check_dense_table(nmax)
+        p = self.p.coeffs
+        scaled = {}  # c -> c * p, one list per distinct numerator coefficient
+        rows = [[0] * (2 * N + 1) for N in range(nmax + 1)]
+        for m, col in self.columns.items():
+            for q0, c in col.items():
+                cp = scaled.get(c) or scaled.setdefault(c, [c * x for x in p])
+                for j in range(nmax + 1 - q0):
+                    N = q0 + j
+                    rows[N][m + N] += cp[j]
+        return rows
 
     def row(self, n: int) -> dict:
         """Nonzero entries of the q^n coefficient as a map m -> value."""
-        return {
-            m - n: c for m, c in enumerate(self.terms[n]) if c
-        }
+        return {m - n: c for m, c in enumerate(self.dense_row(n)) if c}
 
     def collapse_marker(self) -> ExactSeries:
         """Set w = 1, i.e. sum each Laurent row."""
-        return ExactSeries([sum(row) for row in self.terms])
+        return self.weighted(lambda m: 1)
+
+    def first_asymmetric_row(self) -> int | None:
+        """Smallest n whose row is not invariant under m -> -m, or None.
+
+        Row n is symmetric for every n exactly when each numerator column m
+        equals column -m, because p has constant term 1 and so is
+        invertible; and the first row where C_m and C_{-m} differ is the
+        lowest q-exponent where columns m and -m differ.
+        """
+        first = None
+        for m, col in self.columns.items():
+            other = self.columns.get(-m, {})
+            if col != other:
+                diff = min(q0 for q0 in col.keys() | other.keys()
+                           if col.get(q0) != other.get(q0))
+                first = diff if first is None else min(first, diff)
+        return first
 
     def is_marker_symmetric(self) -> bool:
         """True if every row is invariant under m -> -m."""
-        return all(row == row[::-1] for row in self.terms)
+        return self.first_asymmetric_row() is None
 
     def write_csv(self, fh) -> None:
         """Write rows ``n,m,coefficient`` sorted by (n, m)."""
         fh.write("n,m,coefficient\n")
-        for n, row in enumerate(self.terms):
+        for n, row in enumerate(self.dense_rows()):
             for i, c in enumerate(row):
                 if c:
                     fh.write(f"{n},{i - n},{c}\n")
+
+
+def check_dense_table(nmax: int) -> None:
+    """Refuse a dense table to nmax whose estimated size is over the limit.
+
+    (nmax+1)^2 entries, each a list slot and an int object (8 + 28 bytes)
+    plus the digits of |coefficient| <= p(nmax) < e^{pi sqrt(2 nmax/3)}.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    digit_bytes = math.pi * math.sqrt(2.0 * nmax / 3.0) / math.log(256.0)
+    size = (nmax + 1) ** 2 * (8 + 28 + digit_bytes)
+    if size > TABLE_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"a dense table to nmax={nmax} needs about {size:.3g} bytes, "
+            f"over the limit of {TABLE_BYTES_LIMIT}"
+        )
 
 
 def partition_series(nmax: int) -> ExactSeries:
@@ -320,6 +394,45 @@ def numerator_entries(kind: str, nmax: int):
         v += 1
 
 
+def _numerator_size(kind: str, nmax: int) -> int:
+    """How many monomials ``numerator_entries(kind, nmax)`` yields, counted
+    in O(sqrt(nmax)) steps without yielding them.
+
+    Each n >= 1 yields 2K monomials with K = (nmax - base) // n + 1, each
+    n = -v <= -1 yields 2K with K = (nmax - base) // v, and (0, 0, 1) is
+    one more: O(nmax log nmax) in all.
+    """
+    count = 1
+    n = 1
+    while (base := _quadratic_exponent(kind, n)) <= nmax:
+        count += 2 * ((nmax - base) // n + 1)
+        n += 1
+    v = 1
+    while (base := _quadratic_exponent(kind, -v)) + v <= nmax:
+        count += 2 * ((nmax - base) // v)
+        v += 1
+    return count
+
+
+def numerator_columns(entries) -> dict:
+    """Group (q-exponent, w-exponent, coefficient) monomials into columns.
+
+    Returns {m: {q0: c}} with equal monomials merged, zero coefficients
+    dropped, columns in increasing m and each column in increasing q0: the
+    ``columns`` layout of ``BivariateSeries``.
+    """
+    columns = {}
+    for q0, m, c in entries:
+        col = columns.setdefault(m, {})
+        col[q0] = col.get(q0, 0) + c
+    out = {}
+    for m in sorted(columns):
+        col = {q0: c for q0, c in sorted(columns[m].items()) if c}
+        if col:
+            out[m] = col
+    return out
+
+
 def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
     """Two-variable crank or rank generating function through q^nmax.
 
@@ -327,31 +440,25 @@ def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
     equal to m, in the raw generating-function normalization.  For the
     crank that means the q^1 row reads w^-1 - 1 + w rather than the
     combinatorial single partition; downstream consumers decide whether to
-    patch that column.
+    patch that column.  It is stored factorized, as the sparse numerator
+    of ``numerator_entries`` and p (see ``BivariateSeries``): O(nmax log
+    nmax) monomials and nmax+1 partition counts, whose size is estimated
+    against ``TABLE_BYTES_LIMIT`` before either is built.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    # (nmax+1)^2 entries, each a list slot and an int object (8 + 28 bytes)
-    # plus the digits of |coefficient| <= p(nmax) < e^{pi sqrt(2 nmax/3)}
+    # about 100 bytes per monomial (a dict slot with its share of the hash
+    # table, and the int key), and p as in ``check_dense_table``, per entry
     digit_bytes = math.pi * math.sqrt(2.0 * nmax / 3.0) / math.log(256.0)
-    size = (nmax + 1) ** 2 * (8 + 28 + digit_bytes)
+    size = (_numerator_size(kind, nmax) * 100
+            + (nmax + 1) * (8 + 28 + digit_bytes))
     if size > TABLE_BYTES_LIMIT:
         raise ResourceLimitError(
-            f"a dense table to nmax={nmax} needs about {size:.3g} bytes, "
-            f"over the limit of {TABLE_BYTES_LIMIT}"
+            f"a factorized {kind} table to nmax={nmax} needs about "
+            f"{size:.3g} bytes, over the limit of {TABLE_BYTES_LIMIT}"
         )
-    p = partition_series(nmax).coeffs
-    rows = [[0] * (2 * N + 1) for N in range(nmax + 1)]
-    for q0, m, sign in numerator_entries(kind, nmax):
-        if sign == 1:
-            for j in range(nmax + 1 - q0):
-                N = q0 + j
-                rows[N][m + N] += p[j]
-        else:
-            for j in range(nmax + 1 - q0):
-                N = q0 + j
-                rows[N][m + N] -= p[j]
-    return BivariateSeries(rows)
+    return BivariateSeries(numerator_columns(numerator_entries(kind, nmax)),
+                           partition_series(nmax))
 
 
 def _appell_exponent(ell: int, r: int, n: int) -> int:
