@@ -169,23 +169,34 @@ def string_count(parts) -> int:
 
     One partition may contain several strings; each qualifying starting
     part contributes one.
+
+    The parts are scanned once, largest first, one block of equal parts at
+    a time: a block gives its value s and multiplicity, and the run from s
+    is one longer than the run from the previous block's value when that
+    value is s+1.  Whether s-1 is absent is known at the next block, so an
+    even s whose run qualifies waits there.
     """
-    if not parts:
-        return 0
-    counts = Counter(parts)
-    present = set(counts)
     total = 0
-    for s in present:
-        run = 0
-        while s + run in present:
-            run += 1
+    waiting = False  # the previous block is an even s whose run qualifies
+    run = prev = 0
+    i, n = 0, len(parts)
+    while i < n:
+        s = parts[i]
+        j = i + 1
+        while j < n and parts[j] == s:
+            j += 1
+        if waiting and s != prev - 1:
+            total += 1
+        run = run + 1 if prev == s + 1 else 1
         if s % 2 == 1:
-            if counts[s] == 1 and run >= s:
+            waiting = False
+            if j - i == 1 and run >= s:
                 total += 1
         else:
-            if (s - 1) not in present and run % 2 == 1 and run >= s - 1:
-                total += 1
-    return total
+            waiting = run % 2 == 1 and run >= s - 1
+        prev = s
+        i = j
+    return total + waiting
 
 
 def stats_of(parts) -> PartitionStats:

@@ -194,3 +194,36 @@ def test_conjugation_properties(parts):
     assert conjugate(conj) == parts
     assert pt.rank_of(conj) == -pt.rank_of(parts)
     assert pt.durfee_size(conj) == pt.durfee_size(parts)
+
+
+def counter_string_count(parts):
+    """Reference string count: a Counter of the parts and a set of values."""
+    if not parts:
+        return 0
+    counts = Counter(parts)
+    present = set(counts)
+    total = 0
+    for s in present:
+        run = 0
+        while s + run in present:
+            run += 1
+        if s % 2 == 1:
+            if counts[s] == 1 and run >= s:
+                total += 1
+        else:
+            if (s - 1) not in present and run % 2 == 1 and run >= s - 1:
+                total += 1
+    return total
+
+
+@given(st.lists(st.integers(1, 14), max_size=18).map(
+    lambda parts: tuple(sorted(parts, reverse=True))))
+@settings(max_examples=300, deadline=None)
+def test_string_count_matches_counter_reference(parts):
+    assert pt.string_count(parts) == counter_string_count(parts)
+
+
+def test_string_count_matches_counter_reference_exhaustively():
+    for n in range(21):
+        for parts in pt.partitions_of(n):
+            assert pt.string_count(parts) == counter_string_count(parts), parts
