@@ -2,9 +2,13 @@
 
 Two independent routes to the same numbers live here:
 
-* the *table route*: build the full histogram M(m, N) of crank or rank
-  values from the bivariate generating function and read moments off it
-  as weighted sums over m;
+* the *table route*: the histogram M(m, N) of crank or rank values,
+  kept as the sparse numerator columns of the bivariate generating
+  function times p(q) (``CrankRankTable``), with moments read off it as
+  weighted sums over m.  Each such sum, for every N at once, is the
+  weighted numerator times p(q): one product.  The weights are the
+  table's own (m^r, m^{2k}, C(m + floor((r-1)/2), r)), never the
+  series route's basis change;
 * the *series route*: read symmetrized positive moments directly as the
   integer coefficients of A_{ell,r}(q) / (q;q)_inf, A being
   ``series.appell_sum`` (ell=1 for crank, ell=3 for rank), and recover

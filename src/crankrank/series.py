@@ -6,8 +6,10 @@ This module builds the q-expansions everything else consumes:
   partition count p(N), via the pentagonal-number recurrence.
 * ``euler_function`` -- the sparse pentagonal expansion of (q;q)_inf.
 * ``bivariate_series`` -- the two-variable crank and rank generating
-  functions, stored per power of q as Laurent polynomials in the
-  statistic marker w.
+  functions, kept factorized (``BivariateSeries``): the sparse numerator
+  (q;q)_inf * F(w, q), one column per power of the statistic marker w,
+  together with p(N).  A sum over the powers of w with any weight is one
+  product; dense Laurent rows are unpacked only on request.
 * ``appell_sum`` -- the one-sided Appell-type sums
   sum_{n>=1} (-1)^{n+1} q^{l*n^2/2 + (r/2+rho)n} / (1-q^n)^r,
   whose quotients by (q;q)_inf generate symmetrized positive moments.

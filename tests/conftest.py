@@ -10,8 +10,9 @@ ACCEPTANCE_BRUTE_NMAX = 40
 def big_ctx():
     """The full-scale verification context shared by the acceptance tests.
 
-    Building the crank/rank tables to N=2000 plus the bulk moments takes
-    on the order of a minute, so it happens once per session.
+    Building the crank/rank tables to N=2000 plus the bulk moments and the
+    brute-force oracle to N=40 takes a few seconds, so it happens once per
+    session.
     """
     return verification.build_context(ACCEPTANCE_NMAX, ACCEPTANCE_BRUTE_NMAX)
 
