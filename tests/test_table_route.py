@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crankrank import cli
 from crankrank import moments as mm
 from crankrank import series as qs
 from crankrank.errors import ResourceLimitError
@@ -140,7 +141,7 @@ def test_first_asymmetric_row_is_lowest_differing_exponent():
 
 def test_dense_limit_applies_to_unpacking_only(monkeypatch):
     # a table whose dense rows are over the limit still builds and sums:
-    # at nmax=50 the dense estimate is about 97 kB, the factorized one 39 kB
+    # at nmax=50 the dense estimate is about 102 kB, the factorized one 39 kB
     table = mm.CrankRankTable.build("rank", 50)
     monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 50_000)
     assert mm.CrankRankTable.build("rank", 50).full_moments(2) == table.full_moments(2)
@@ -159,3 +160,25 @@ def test_factorized_limit_refuses_before_building(monkeypatch):
     with pytest.raises(ResourceLimitError, match="factorized crank table to nmax=200"):
         mm.CrankRankTable.build("crank", 200)
     assert built == []
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["tables", "--nmax", "50", "--kind", "rank"], "dense table to nmax=50"),
+    (["moments", "--nmax", "50", "--variant", "full"], None),
+    (["moments", "--nmax", "200", "--variant", "full"], "factorized crank table"),
+], ids=["tables-dense", "full-fits", "full-factorized"])
+def test_cli_limits_by_layout(argv, refused, capsys, monkeypatch):
+    # between the factorized (crank 50 kB) and dense (102 kB) estimates at nmax=50
+    monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 60_000)
+    built = []
+    build = mm.CrankRankTable.build
+    monkeypatch.setattr(mm.CrankRankTable, "build",
+                        lambda *args: built.append(args) or build(*args))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if refused is None:
+        assert code == 0 and err == ""
+    else:
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: ") and refused in err
+        assert built == ([] if argv[0] == "tables" else [("crank", 200)])
