@@ -15,6 +15,10 @@ small-argument limits.
 Complex evaluation near the unit circle always goes through the certified
 series module ``*_value`` functions, on whole arrays of quadrature nodes,
 never through truncated integer expansions, blind to the essential singularity.
+The Euler factor 1/(q;q)_inf of the quadrature integrand is kept per node
+set (``_euler_at_nodes``), so every (ell, r) integrated on the same nodes
+shares one evaluation.  This is the package's only module that imports
+numpy at load time; the command line loads it for ``circle`` only.
 """
 
 from __future__ import annotations
@@ -277,12 +281,20 @@ class QuadratureReport:
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
-def _composite_gl(fn, lo: float, hi: float, panels: int) -> complex:
+def _gl_nodes(lo: float, hi: float, panels: int):
+    """Nodes and panel half-widths of the composite 16-point Gauss-Legendre
+    rule on [lo, hi]; the key (lo, hi, panels) determines them exactly."""
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    vals = fn(xs).reshape(panels, -1)
+    return (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel(), half
+
+
+def _composite_gl(fn, lo: float, hi: float, panels: int) -> complex:
+    """``fn(lo, hi, panels)`` returns the integrand at ``_gl_nodes(lo, hi, panels)``,
+    so an integrand can reuse a factor computed once per node set."""
+    vals = fn(lo, hi, panels).reshape(panels, -1)
+    half = _gl_nodes(lo, hi, panels)[1]
     return complex((vals * _GL_WEIGHTS[None, :]).sum(axis=1) @ half)
 
 
@@ -310,6 +322,28 @@ def check_quadrature_order(N: int) -> None:
         raise ValueError("N must be in [20, 400] for double-precision quadrature")
 
 
+def _circle_points(N: int, lo: float, hi: float, panels: int):
+    """The nodes x of ``_gl_nodes(lo, hi, panels)`` and q = e^{-pi/sqrt(6N) + 2 pi i x}."""
+    xs = _gl_nodes(lo, hi, panels)[0]
+    return xs, np.exp(-math.pi / math.sqrt(6.0 * N) + 2j * math.pi * xs)
+
+
+@lru_cache(maxsize=None)
+def _euler_at_nodes(N: int, lo: float, hi: float, panels: int) -> np.ndarray:
+    """1/(q;q)_inf at ``_circle_points(N, lo, hi, panels)``, read-only.
+
+    The Euler factor of the ``wright_integrals`` integrand does not depend
+    on (ell, r), so every quotient integrated on the same nodes shares it.
+    The memo holds a few node sets per N of the quadrature window, about
+    0.3 MB for the four N of 50..400 with default panels.
+    """
+    # evaluator tolerance far below any quadrature target
+    value = qs.euler_inverse_value(_circle_points(N, lo, hi, panels)[1],
+                                   1e-15).value
+    value.flags.writeable = False
+    return value
+
+
 def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
                      exact: int | None = None,
                      target_rel: float = 1e-8) -> QuadratureReport:
@@ -328,15 +362,13 @@ def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
         raise ValueError("r must be >= 1")
     if ell not in (1, 3):
         raise ValueError(f"ell must be 1 or 3, got {ell}")
-    decay = math.pi / math.sqrt(6.0 * N)
     x_split = 1.0 / (2.0 * math.sqrt(6.0 * N))
     amplitude = math.exp(math.pi * math.sqrt(N / 6.0))
 
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        q = np.exp(-decay + 2j * math.pi * xs)
-        # evaluator tolerance far below any quadrature target
+    def integrand(lo: float, hi: float, panels: int) -> np.ndarray:
+        xs, q = _circle_points(N, lo, hi, panels)
         f = (qs.appell_sum_value(ell, r, q, 1e-15).value
-             * qs.euler_inverse_value(q, 1e-15).value)
+             * _euler_at_nodes(N, lo, hi, panels))
         return f * amplitude * np.exp(-2j * math.pi * N * xs)
 
     if exact is None:
@@ -377,8 +409,8 @@ def wright_auxiliary(s: float, N: int, target_rel: float = 1e-12) -> complex:
         raise ValueError("N must be >= 1")
     c = math.pi * math.sqrt(N / 6.0)
 
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        v = 1.0 + 1j * ts
+    def integrand(lo: float, hi: float, panels: int) -> np.ndarray:
+        v = 1.0 + 1j * _gl_nodes(lo, hi, panels)[0]
         return np.exp(s * np.log(v) + c * (v + 1.0 / v)) / (2.0 * math.pi)
 
     scale = math.exp(2.0 * c) / (2.0 * math.pi)

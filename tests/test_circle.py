@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -218,6 +219,25 @@ class TestWrightIntegrals:
         true = mm.symmetrized_series(1, 3, 60).values[60]
         rep = cm.wright_integrals(1, 3, 60, exact=true)
         assert rep.exact == true
+
+    def test_euler_memo_warm_equals_cold(self):
+        # warm: the node sets were filled by another (ell, r) pair
+        cm._euler_at_nodes.cache_clear()
+        cm.wright_integrals(1, 1, 60)
+        hits = cm._euler_at_nodes.cache_info().hits
+        warm = cm.wright_integrals(3, 2, 60)
+        assert cm._euler_at_nodes.cache_info().hits > hits
+        cm._euler_at_nodes.cache_clear()
+        cold = cm.wright_integrals(3, 2, 60)
+        assert cm._euler_at_nodes.cache_info().hits == 0
+        for field in dataclasses.fields(cm.QuadratureReport):
+            assert getattr(warm, field.name) == getattr(cold, field.name), field.name
+
+    def test_euler_memo_is_read_only(self):
+        value = cm._euler_at_nodes(60, 0.0, 0.02, 8)
+        assert value.shape == (8 * 16,) and not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0] = 0
 
 
 class TestWrightAuxiliary:
