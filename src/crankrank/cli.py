@@ -8,16 +8,21 @@ predictions, ``circle`` runs the contour-integral reproduction, and
 
 Exit codes: 0 success, 1 usage error, 2 verification/convergence failure,
 3 resource limit.  Output is deterministic for a fixed argument list.
+
+Each invocation pays only for the command it runs: ``circle`` imports its
+module, and with it numpy, when it starts, and no other command loads
+numpy.  CSV output is written piece by piece to stdout or ``--out``
+(``tables`` one kind's dense rows at a time); JSON is dumped whole.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 
-from . import asymptotics, circle, moments, parity, verification
+from . import asymptotics, moments, parity, verification
 from . import series as qs
 from .errors import ConvergenceError, ResourceLimitError
 
@@ -103,6 +108,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _writer(out_path):
+    """stdout, or the file ``out_path``, for output written piece by piece."""
+    if out_path is None:
+        yield sys.stdout
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -121,23 +136,25 @@ def _validate_ladder(ladder) -> None:
 def _cmd_tables(args) -> int:
     kinds = ("crank", "rank") if args.kind == "both" else (args.kind,)
     qs.check_dense_table(args.nmax)  # before any table is built
-    lines = []
-    as_json = []
-    for kind in kinds:
-        conv = args.convention if kind == "crank" else moments.GENERATING_FUNCTION
-        table = moments.CrankRankTable.build(kind, args.nmax, conv)
-        # one kind's dense rows at a time
-        for N, row in enumerate(table.dense_rows()):
-            for i, c in enumerate(row):
-                if c:
-                    if args.format == "csv":
-                        lines.append(f"{kind},{N},{i - N},{c}")
-                    else:
-                        as_json.append([kind, N, i - N, str(c)])
+    tables = [
+        moments.CrankRankTable.build(
+            kind, args.nmax,
+            args.convention if kind == "crank" else moments.GENERATING_FUNCTION)
+        for kind in kinds
+    ]
+    # the factorized tables are small; one kind's dense rows at a time
     if args.format == "csv":
-        _emit("\n".join(["kind,n,m,coefficient"] + lines) + "\n", args.out)
+        with _writer(args.out) as fh:
+            fh.write(moments.TABLE_CSV_HEADER)
+            for table in tables:
+                table.write_csv_rows(fh)
     else:
-        _emit(json.dumps(as_json), args.out)
+        _emit(json.dumps([
+            [table.kind, N, i - N, str(c)]
+            for table in tables
+            for N, row in enumerate(table.dense_rows())
+            for i, c in enumerate(row) if c
+        ]), args.out)
     return 0
 
 
@@ -162,30 +179,29 @@ def _cmd_moments(args) -> int:
                                              args.nmax)
             for r in r_list:
                 values[r, ell] = moments.positive_from_symmetrized(sym, r)
-    rows = [
-        (args.variant, r, ell, kind, N, v)
-        for r in r_list for ell, kind in kinds.items()
-        for N, v in enumerate(values[r, ell])
-    ]
+    variant = args.variant
+    blocks = [(r, ell, kind) for r in r_list for ell, kind in kinds.items()]
     if args.format == "csv":
-        lines = [
-            f"{kind},{variant},{r},{ell},{N},{v}"
-            for variant, r, ell, kind, N, v in rows
-        ]
-        _emit("\n".join(["kind,variant,r,ell,N,value"] + lines) + "\n", args.out)
+        with _writer(args.out) as fh:
+            fh.write("kind,variant,r,ell,N,value\n")
+            for r, ell, kind in blocks:
+                for N, v in enumerate(values[r, ell]):
+                    fh.write(f"{kind},{variant},{r},{ell},{N},{v}\n")
     else:
-        _emit(json.dumps(
-            [[kind, variant, r, ell, N, str(v)]
-             for variant, r, ell, kind, N, v in rows]
-        ), args.out)
+        _emit(json.dumps([
+            [kind, variant, r, ell, N, str(v)]
+            for r, ell, kind in blocks for N, v in enumerate(values[r, ell])
+        ]), args.out)
     return 0
 
 
 def _cmd_spt_ospt(args) -> int:
     spt, ospt = moments.spt_ospt(args.nmax)
     if args.format == "csv":
-        lines = [f"{N},{spt[N]},{ospt[N]}" for N in range(1, args.nmax + 1)]
-        _emit("\n".join(["N,spt,ospt"] + lines) + "\n", args.out)
+        with _writer(args.out) as fh:
+            fh.write("N,spt,ospt\n")
+            for N in range(1, args.nmax + 1):
+                fh.write(f"{N},{spt[N]},{ospt[N]}\n")
     else:
         _emit(json.dumps(
             [[N, str(spt[N]), str(ospt[N])] for N in range(1, args.nmax + 1)]
@@ -245,6 +261,8 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_circle(args) -> int:
+    from . import circle  # numpy is loaded for this command only
+
     ladder = args.ladder
     _validate_ladder(ladder)
     r_list = sorted(set(args.r or [3, 4]))
@@ -256,9 +274,8 @@ def _cmd_circle(args) -> int:
                 "circle --format csv needs exactly one --r and one --ell"
             )
         rows = circle.away_bound_rows(ells[0], r_list[0], ladder)
-        buf = io.StringIO()
-        circle.write_bound_grid_csv(rows, buf)
-        _emit(buf.getvalue(), args.out)
+        with _writer(args.out) as fh:
+            circle.write_bound_grid_csv(rows, fh)
         return 0
     for N in ladder:  # before any exact coefficient is built up to max(ladder)
         circle.check_quadrature_order(N)
@@ -277,9 +294,8 @@ def _cmd_parity(args) -> int:
     spt, ospt = moments.spt_ospt(args.nmax)
     rows = parity.parity_rows(spt, ospt, args.nmax)
     if args.format == "csv":
-        buf = io.StringIO()
-        parity.write_parity_csv(rows, buf)
-        _emit(buf.getvalue(), args.out)
+        with _writer(args.out) as fh:
+            parity.write_parity_csv(rows, fh)
     else:
         _emit(json.dumps([
             [row.N, row.modulus_argument,

@@ -41,6 +41,9 @@ from . import series as qs
 GENERATING_FUNCTION = "generating_function"
 COMBINATORIAL = "combinatorial"
 
+#: Header line of ``CrankRankTable.write_csv``.
+TABLE_CSV_HEADER = "kind,n,m,coefficient\n"
+
 #: Largest default order for moment tables; big enough for the asymptotic
 #: trend checks, small enough for minutes-scale runs.
 DEFAULT_NMAX = 2000
@@ -187,8 +190,13 @@ class CrankRankTable(qs.BivariateSeries):
         return [list(at_N) for at_N in zip(*orders)]
 
     def write_csv(self, fh) -> None:
-        """Write rows ``kind,n,m,coefficient`` sorted by (n, m)."""
-        fh.write("kind,n,m,coefficient\n")
+        """Write ``TABLE_CSV_HEADER``, then rows ``kind,n,m,coefficient``
+        sorted by (n, m)."""
+        fh.write(TABLE_CSV_HEADER)
+        self.write_csv_rows(fh)
+
+    def write_csv_rows(self, fh) -> None:
+        """The rows of ``write_csv`` without its header."""
         for N, row in enumerate(self.dense_rows()):
             for i, c in enumerate(row):
                 if c:
@@ -235,7 +243,11 @@ def symmetrized_family(ell: int, orders, nmax: int) -> dict:
     moment sum_{m>=1} C(m + floor((r-1)/2), r) M(m, N) over the crank
     (ell=1) or rank (ell=3) histogram.  This is the one place the quotient
     is formed: 1/(q;q)_inf is built once, and each order costs one product.
+    The family's size is estimated first (``series.check_quotient_family``)
+    and refused with ResourceLimitError before anything is built.
     """
+    orders = list(orders)
+    qs.check_quotient_family(orders, nmax)
     p = qs.partition_series(nmax)
     return {r: (qs.appell_sum(ell, r, nmax) * p).coeffs for r in orders}
 

@@ -49,7 +49,8 @@ EVAL_MAX_TERMS = 10**6
 
 #: Largest estimated size, in bytes, of a crank/rank table: of a dense one
 #: (``check_dense_table``, about nmax = 5500) and of a factorized one
-#: (``bivariate_series``).
+#: (``bivariate_series``); and of a family of quotient series
+#: (``check_quotient_family``).
 TABLE_BYTES_LIMIT = 2**31
 
 
@@ -303,6 +304,26 @@ def check_dense_table(nmax: int) -> None:
         raise ResourceLimitError(
             f"a dense table to nmax={nmax} needs about {size:.3g} bytes, "
             f"over the limit of {TABLE_BYTES_LIMIT}"
+        )
+
+
+def check_quotient_family(orders, nmax: int) -> None:
+    """Refuse a family of quotient series, one list of nmax+1 moment sums
+    per order, estimated over the limit.
+
+    A moment sum of order r at N is at most N^r p(N), so each slot holds
+    an int of at most r log2(nmax) bits more than a table entry.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    r_max = max(orders, default=0)
+    slot = _entry_bytes(nmax) + r_max * math.log(max(nmax, 1), 256)
+    size = len(orders) * (nmax + 1) * slot
+    if size > TABLE_BYTES_LIMIT:
+        raise ResourceLimitError(
+            f"a quotient family of {len(orders)} orders up to r={r_max} to "
+            f"nmax={nmax} needs about {size:.3g} bytes, over the limit of "
+            f"{TABLE_BYTES_LIMIT}"
         )
 
 

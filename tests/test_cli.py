@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crankrank
 from crankrank import circle, cli, moments, verification
 from crankrank import series as qs
 from crankrank.errors import ConvergenceError
@@ -288,3 +293,74 @@ def test_each_quotient_formed_once(run, calls, capsys, monkeypatch):
     capsys.readouterr()
     assert len(seen) == calls
     assert len(set(seen)) == calls
+
+
+# Runs the CLI in a fresh interpreter with its stdout discarded, then
+# prints the exit code and whether numpy got imported.
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from crankrank import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ([], False),  # import crankrank.cli alone
+    (["tables", "--nmax", "5", "--kind", "both"], False),
+    (["moments", "--nmax", "8", "--variant", "full"], False),
+    (["spt-ospt", "--nmax", "10"], False),
+    (["verify", "--nmax", "10"], False),
+    (["asym", "--ladder", "60,120,240", "--r", "1"], False),
+    (["parity", "--nmax", "10"], False),
+    (["circle", "--ladder", "50,60", "--r", "3"], True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_numpy_loaded_only_by_circle(argv, loads_numpy):
+    src = str(Path(crankrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["0", str(loads_numpy)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--nmax", "200"],
+    ["spt-ospt", "--nmax", "200"],
+    ["asym", "--ladder", "60,120,240", "--r", "1,2,3"],
+    ["parity", "--nmax", "200"],
+], ids=lambda argv: argv[0])
+def test_series_routes_refuse_before_building(argv, capsys, monkeypatch):
+    # every family here is estimated at 17-34 kB
+    monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 10_000)
+    built = []
+    for name in ("partition_series", "appell_sum"):
+        monkeypatch.setattr(qs, name, lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, built) == (3, "", [])
+    assert err.startswith("resource limit: a quotient family of ")
+
+
+def test_euler_factor_once_per_node_set(capsys, monkeypatch):
+    # 6 (ell, r) pairs integrate over shared node sets; the Euler factor
+    # of each node set is evaluated once, the Appell factor per pair
+    circle._euler_at_nodes.cache_clear()
+    appell_nodes, euler_nodes = [], []
+    appell_value, euler_value = qs.appell_sum_value, qs.euler_inverse_value
+
+    def counting_appell(ell, r, q, tol):
+        appell_nodes.append(q.tobytes())
+        return appell_value(ell, r, q, tol)
+
+    def counting_euler(q, tol):
+        euler_nodes.append(q.tobytes())
+        return euler_value(q, tol)
+
+    monkeypatch.setattr(qs, "appell_sum_value", counting_appell)
+    monkeypatch.setattr(qs, "euler_inverse_value", counting_euler)
+    assert cli.main(["circle", "--r", "1,2,3", "--ladder", "50,60"]) == 0
+    capsys.readouterr()
+    assert len(euler_nodes) == len(set(euler_nodes))
+    assert set(euler_nodes) == set(appell_nodes)
+    # 2 N x 2 arcs x (start, one doubling) node sets, each used by 6 pairs
+    assert (len(appell_nodes), len(euler_nodes)) == (48, 8)

@@ -1,3 +1,4 @@
+import sys
 from math import comb
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from crankrank import moments as mm
 from crankrank import partitions as pt
 from crankrank import series as qs
+from crankrank.errors import ResourceLimitError
 
 
 class TestTableBuild:
@@ -226,3 +228,17 @@ def test_table_csv_round(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "kind,n,m,coefficient"
     assert "crank,1,0,-1" in lines
+
+
+@pytest.mark.parametrize("ell, orders, nmax", [
+    (1, range(1, 7), 300), (3, (1, 2), 2000), (1, (5,), 40), (3, (1, 2), 0),
+])
+def test_quotient_family_estimate_bounds_what_it_holds(ell, orders, nmax, monkeypatch):
+    family = mm.symmetrized_family(ell, orders, nmax)
+    held = sum(8 + sys.getsizeof(v) for coeffs in family.values() for v in coeffs)
+    # at most 1.35x what the lists hold at these sizes
+    monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", int(1.35 * held))
+    qs.check_quotient_family(list(orders), nmax)
+    monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", held - 1)
+    with pytest.raises(ResourceLimitError, match=f"to nmax={nmax} needs"):
+        mm.symmetrized_family(ell, orders, nmax)
