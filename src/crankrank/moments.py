@@ -196,11 +196,12 @@ class CrankRankTable(qs.BivariateSeries):
         self.write_csv_rows(fh)
 
     def write_csv_rows(self, fh) -> None:
-        """The rows of ``write_csv`` without its header."""
+        """The rows of ``write_csv`` without its header, one write per
+        dense row (an unbuffered stream makes each write a system call)."""
+        kind = self.kind
         for N, row in enumerate(self.dense_rows()):
-            for i, c in enumerate(row):
-                if c:
-                    fh.write(f"{self.kind},{N},{i - N},{c}\n")
+            fh.write("".join(f"{kind},{N},{i - N},{c}\n"
+                             for i, c in enumerate(row) if c))
 
 
 @dataclass(frozen=True)
