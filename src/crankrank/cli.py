@@ -119,13 +119,11 @@ def _writer(out_path):
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write ``text`` whole; on stdout, end it with a newline."""
+    with _writer(out_path) as fh:
+        fh.write(text)
+        if out_path is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _validate_ladder(ladder) -> None:

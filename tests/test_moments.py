@@ -232,12 +232,13 @@ def test_table_csv_round(tmp_path):
 
 @pytest.mark.parametrize("ell, orders, nmax", [
     (1, range(1, 7), 300), (3, (1, 2), 2000), (1, (5,), 40), (3, (1, 2), 0),
+    (1, (20,), 400), (3, (30,), 200),  # the N^r factor outweighs p(N)
 ])
 def test_quotient_family_estimate_bounds_what_it_holds(ell, orders, nmax, monkeypatch):
     family = mm.symmetrized_family(ell, orders, nmax)
     held = sum(8 + sys.getsizeof(v) for coeffs in family.values() for v in coeffs)
-    # at most 1.35x what the lists hold at these sizes
-    monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", int(1.35 * held))
+    # at most twice what the lists hold at these sizes
+    monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 2 * held)
     qs.check_quotient_family(list(orders), nmax)
     monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", held - 1)
     with pytest.raises(ResourceLimitError, match=f"to nmax={nmax} needs"):
