@@ -1,6 +1,13 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from crankrank import moments
+import pytest
+
+from crankrank import cli, moments, parity
 from crankrank import series as qs
 from crankrank import verification as vr
 
@@ -38,6 +45,258 @@ def _with_extra_monomial(ctx, kind, q0, m):
     table = moments.CrankRankTable(kind, qs.numerator_columns(entries),
                                    qs.partition_series(ctx.nmax))
     setattr(ctx, f"{kind}_table", table)
+
+
+def _replace_brute(ctx, N, **fields):
+    ctx.brute[N] = dataclasses.replace(ctx.brute[N], **fields)
+
+
+def _bump(values, index):
+    values[index] += 1
+
+
+def _patch_result(monkeypatch, owner, attr, change):
+    """Route ``owner.attr``'s result through ``change(result, *args)``."""
+    real = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args: change(real(*args), *args))
+
+
+def _euler_plus_q5(series, nmax):
+    return qs.ExactSeries([c + (i == 5) for i, c in enumerate(series.coeffs)])
+
+
+def _rank_plus_q3(biv, kind, nmax):
+    if kind != "rank":
+        return biv
+    entries = [*qs.numerator_entries(kind, nmax), (3, 0, 1)]
+    return qs.BivariateSeries(qs.numerator_columns(entries), biv.p)
+
+
+def _basis_r4_shifted(coeffs, r):
+    return [c + (r == 4 and l == 2) for l, c in enumerate(coeffs)]
+
+
+def _predict_flipped_at_14(predicted, N):
+    return predicted != (N == 14)
+
+
+def _failure(corrupt, name, detail, counterexample, line, id=None):
+    return pytest.param(
+        corrupt,
+        {"name": name, "passed": False, "detail": detail,
+         "counterexample": counterexample},
+        line,
+        id=id or name,
+    )
+
+
+# One case per CheckResult name: the corruption, the full as_dict() of the
+# failing result, and the line `verify` prints for it (the counterexample
+# dict's repr, in its key order).  All 22 at build_context(30, 10).
+FAILURE_REPORTS = [
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "crank", 5, 2),
+        "table-vs-brute-crank", "histogram mismatch",
+        {"N": "5",
+         "table": "{-5: 1, -3: 1, -1: 1, 0: 1, 1: 1, 2: 1, 3: 1, 5: 1}",
+         "brute": "{-5: 1, -3: 1, 1: 1, -1: 1, 3: 1, 0: 1, 5: 1}"},
+        "FAIL table-vs-brute-crank: histogram mismatch | first counterexample: "
+        "{'N': 5, 'table': {-5: 1, -3: 1, -1: 1, 0: 1, 1: 1, 2: 1, 3: 1, 5: 1}, "
+        "'brute': {-5: 1, -3: 1, 1: 1, -1: 1, 3: 1, 0: 1, 5: 1}}",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "rank", 7, 3),
+        "table-vs-brute-rank", "histogram mismatch",
+        {"N": "7",
+         "table": "{-6: 1, -4: 1, -3: 1, -2: 2, -1: 1, 0: 3, 1: 1, 2: 2, "
+                  "3: 2, 4: 1, 6: 1}",
+         "brute": "{-6: 1, -4: 1, -3: 1, -2: 2, -1: 1, 0: 3, 1: 1, 2: 2, "
+                  "3: 1, 4: 1, 6: 1}"},
+        "FAIL table-vs-brute-rank: histogram mismatch | first counterexample: "
+        "{'N': 7, 'table': {-6: 1, -4: 1, -3: 1, -2: 2, -1: 1, 0: 3, 1: 1, "
+        "2: 2, 3: 2, 4: 1, 6: 1}, 'brute': {-6: 1, -4: 1, -3: 1, -2: 2, "
+        "-1: 1, 0: 3, 1: 1, 2: 2, 3: 1, 4: 1, 6: 1}}",
+    ),
+    _failure(
+        lambda ctx, mp: _replace_brute(ctx, 1, crank={1: 1}),
+        "crank-anomalous-column", "N<=1 conventions broken",
+        {"generating_function": "{-1: 1, 0: -1, 1: 1}",
+         "combinatorial": "{0: 1}", "raw": "{1: 1}"},
+        "FAIL crank-anomalous-column: N<=1 conventions broken | first "
+        "counterexample: {'generating_function': {-1: 1, 0: -1, 1: 1}, "
+        "'combinatorial': {0: 1}, 'raw': {1: 1}}",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "rank", 4, 0),
+        "row-sums-partition-count", "row sum != p(N)",
+        {"kind": "rank", "N": "4"},
+        "FAIL row-sums-partition-count: row sum != p(N) | first "
+        "counterexample: {'kind': 'rank', 'N': 4}",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "rank", 9, 4),
+        "row-symmetry", "row not symmetric",
+        {"kind": "rank", "N": "9"},
+        "FAIL row-symmetry: row not symmetric | first counterexample: "
+        "{'kind': 'rank', 'N': 9}",
+    ),
+    _failure(
+        lambda ctx, mp: _patch_result(mp, qs, "euler_function", _euler_plus_q5),
+        "euler-product-inverse", "product != 1",
+        {"n": "5"},
+        "FAIL euler-product-inverse: product != 1 | first counterexample: "
+        "{'n': 5}",
+    ),
+    _failure(
+        lambda ctx, mp: _patch_result(mp, qs, "bivariate_series", _rank_plus_q3),
+        "marker-collapse", "w=1 collapse != p(N)",
+        {"kind": "rank"},
+        "FAIL marker-collapse: w=1 collapse != p(N) | first counterexample: "
+        "{'kind': 'rank'}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.spt, 7),
+        "spt-three-routes", "spt routes disagree",
+        {"N": "7", "brute": "35", "table": "35", "series": "36"},
+        "FAIL spt-three-routes: spt routes disagree | first counterexample: "
+        "{'N': 7, 'brute': 35, 'table': 35, 'series': 36}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.ospt, 6),
+        "ospt-three-routes", "ospt routes disagree",
+        {"N": "6", "brute": "4", "table": "4", "series": "5"},
+        "FAIL ospt-three-routes: ospt routes disagree | first counterexample: "
+        "{'N': 6, 'brute': 4, 'table': 4, 'series': 5}",
+    ),
+    _failure(
+        lambda ctx, mp: _replace_brute(ctx, 8,
+                                       durfee_sum=ctx.brute[8].durfee_sum + 1),
+        "durfee-first-moment", "Durfee sum != M1+",
+        {"N": "8", "brute": "37", "table": "36"},
+        "FAIL durfee-first-moment: Durfee sum != M1+ | first counterexample: "
+        "{'N': 8, 'brute': 37, 'table': 36}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.ospt, 25),
+        "spt-ospt-series-scale", "table and series routes disagree",
+        {"N": "25", "spt_table": "8263", "spt_series": "8263",
+         "ospt_table": "563", "ospt_series": "564"},
+        "FAIL spt-ospt-series-scale: table and series routes disagree | first "
+        "counterexample: {'N': 25, 'spt_table': 8263, 'spt_series': 8263, "
+        "'ospt_table': 563, 'ospt_series': 564}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.ospt, 20),
+        "ospt-numerator-series", "numerator route disagrees",
+        {"N": "20", "numerator": "183", "difference": "184"},
+        "FAIL ospt-numerator-series: numerator route disagrees | first "
+        "counterexample: {'N': 20, 'numerator': 183, 'difference': 184}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.sym_rank[2], 13),
+        "symmetrized-series-vs-table", "binomial sum != series coefficient",
+        {"kind": "rank", "r": "2", "N": "13", "table": "411", "series": "412"},
+        "FAIL symmetrized-series-vs-table: binomial sum != series coefficient "
+        "| first counterexample: {'kind': 'rank', 'r': 2, 'N': 13, "
+        "'table': 411, 'series': 412}",
+    ),
+    _failure(
+        lambda ctx, mp: _patch_result(mp, moments, "basis_change_coeffs",
+                                      _basis_r4_shifted),
+        "basis-change-polynomial", "identity fails",
+        {"r": "4", "m": "-20"},
+        "FAIL basis-change-polynomial: identity fails | first counterexample: "
+        "{'r': 4, 'm': -20}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.sym_crank[3], 17),
+        "positive-moment-reconciliation", "table and series routes disagree",
+        {"kind": "crank", "r": "3", "N": "17", "table": "46555",
+         "series": "46561"},
+        "FAIL positive-moment-reconciliation: table and series routes disagree "
+        "| first counterexample: {'kind': 'crank', 'r': 3, 'N': 17, "
+        "'table': 46555, 'series': 46561}",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "crank", 6, -2),
+        "even-moment-halving", "full != 2 x positive",
+        {"kind": "crank", "r": "2", "N": "6"},
+        "FAIL even-moment-halving: full != 2 x positive | first "
+        "counterexample: {'kind': 'crank', 'r': 2, 'N': 6}",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "rank", 1, 3),
+        "full-even-moment-inequality", "even crank moment not larger",
+        {"r": "2", "N": "1"},
+        "FAIL full-even-moment-inequality: even crank moment not larger | "
+        "first counterexample: {'r': 2, 'N': 1}",
+    ),
+    _failure(
+        lambda ctx, mp: ctx.pos_rank[15].__setitem__(4, ctx.pos_crank[15][4]),
+        "positive-moment-inequality", "inequality fails",
+        {"r": "4", "N": "15"},
+        "FAIL positive-moment-inequality: inequality fails | first "
+        "counterexample: {'r': 4, 'N': 15}",
+    ),
+    _failure(
+        lambda ctx, mp: ctx.ospt.__setitem__(12, ctx.ospt[13] + 1),
+        "ospt-nondecreasing", "ospt decreases",
+        {"N": "12", "here": "32", "next": "31"},
+        "FAIL ospt-nondecreasing: ospt decreases | first counterexample: "
+        "{'N': 12, 'here': 32, 'next': 31}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.partition_counts, 17),
+        "ramanujan-congruences", "p(17) not divisible by 11",
+        {"N": "17", "p": "298", "modulus": "11"},
+        "FAIL ramanujan-congruences: p(17) not divisible by 11 | first "
+        "counterexample: {'N': 17, 'p': 298, 'modulus': 11}",
+    ),
+    # spt(9) made odd: ospt and spt disagree, and the report still carries
+    # the predictor's value
+    _failure(
+        lambda ctx, mp: _bump(ctx.spt, 9),
+        "parity-predictor", "parity mismatch",
+        {"N": "9", "predicted": "0", "ospt": "0", "spt": "1"},
+        "FAIL parity-predictor: parity mismatch | first counterexample: "
+        "{'N': 9, 'predicted': 0, 'ospt': 0, 'spt': 1}",
+        id="parity-predictor-spt",
+    ),
+    _failure(
+        lambda ctx, mp: _patch_result(mp, parity, "parity_predict",
+                                      _predict_flipped_at_14),
+        "parity-predictor", "parity mismatch",
+        {"N": "14", "predicted": "1", "ospt": "0", "spt": "0"},
+        "FAIL parity-predictor: parity mismatch | first counterexample: "
+        "{'N': 14, 'predicted': 1, 'ospt': 0, 'spt': 0}",
+        id="parity-predictor-predictor",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.pos_rank[11], 2),
+        "moment-parity", "parity link broken",
+        {"kind": "rank", "N": "11"},
+        "FAIL moment-parity: parity link broken | first counterexample: "
+        "{'kind': 'rank', 'N': 11}",
+    ),
+]
+
+
+@pytest.mark.parametrize("corrupt, expected, line", FAILURE_REPORTS)
+def test_failure_report(corrupt, expected, line, monkeypatch, capsys):
+    ctx = vr.build_context(30, 10)
+    corrupt(ctx, monkeypatch)
+    [result] = [r for r in vr.run_suite(30, ctx=ctx)
+                if r.name == expected["name"]]
+    assert result.as_dict() == expected
+    monkeypatch.setattr(vr, "build_context", lambda *args: ctx)
+    assert cli.main(["verify", "--nmax", "30"]) == 2
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_failure_reports_cover_every_result():
+    names = {case.values[1]["name"] for case in FAILURE_REPORTS}
+    assert names == {r.name for r in vr.run_suite(5)}
+    assert len(names) == 22
 
 
 def test_failure_detection():
@@ -115,3 +374,22 @@ def test_brute_range_always_covers_n1():
     ctx = vr.build_context(5, brute_nmax=0)
     assert ctx.brute_nmax == 1
     assert all(r.passed for r in vr.run_suite(5, ctx=ctx))
+
+
+_BENCHMARK_HOOKS_PROBE = """
+import run, spans
+from crankrank import verification
+spans.install(spans.Recorder())
+assert [c.__name__ for c in verification.ALL_CHECKS] == list(run.SUITE_CHECKS)
+"""
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench wraps each check by name and lists ALL_CHECKS in order; a
+    # renamed or deleted name breaks traced benchmark runs
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    done = subprocess.run([sys.executable, "-c", _BENCHMARK_HOOKS_PROBE],
+                          capture_output=True, text=True, cwd=root,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
