@@ -319,15 +319,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (_UsageError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

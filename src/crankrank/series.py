@@ -58,28 +58,19 @@ class ExactSeries:
     """Power series in q with integer coefficients, truncated at q^nmax.
 
     ``coeffs[n]`` is the coefficient of q^n; the list always has exactly
-    ``nmax + 1`` entries.  ``truncated`` records whether some operation has
-    already discarded exponents beyond ``nmax``.
+    ``nmax + 1`` entries.
     """
 
-    __slots__ = ("coeffs", "truncated")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, truncated: bool = False):
+    def __init__(self, coeffs):
         self.coeffs = list(coeffs)
         if not self.coeffs:
             raise ValueError("need at least the constant coefficient")
-        self.truncated = truncated
 
     @property
     def nmax(self) -> int:
         return len(self.coeffs) - 1
-
-    def degree(self) -> int:
-        """Largest exponent with a nonzero coefficient, or -1 for the zero series."""
-        for n in range(self.nmax, -1, -1):
-            if self.coeffs[n]:
-                return n
-        return -1
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
@@ -95,8 +86,7 @@ class ExactSeries:
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.nmax >= 6 else ""
-        flag = ", truncated" if self.truncated else ""
-        return f"ExactSeries([{head}{tail}], nmax={self.nmax}{flag})"
+        return f"ExactSeries([{head}{tail}], nmax={self.nmax})"
 
     def _check_order(self, other: "ExactSeries") -> None:
         if self.nmax != other.nmax:
@@ -106,20 +96,14 @@ class ExactSeries:
 
     def __add__(self, other: "ExactSeries") -> "ExactSeries":
         self._check_order(other)
-        return ExactSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            truncated=self.truncated or other.truncated,
-        )
+        return ExactSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "ExactSeries") -> "ExactSeries":
         self._check_order(other)
-        return ExactSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            truncated=self.truncated or other.truncated,
-        )
+        return ExactSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "ExactSeries":
-        return ExactSeries([-a for a in self.coeffs], truncated=self.truncated)
+        return ExactSeries([-a for a in self.coeffs])
 
     def __mul__(self, other: "ExactSeries") -> "ExactSeries":
         """Exact Cauchy product, truncated at nmax, by Kronecker substitution.
@@ -147,13 +131,8 @@ class ExactSeries:
         bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
         digits = ((_pack(a, width) * _pack(b, width) + bias)
                   & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        out = [int.from_bytes(digits[i:i + width], "little") - half
-               for i in range(0, size, width)]
-        da, db = self.degree(), other.degree()
-        overflow = da >= 0 and db >= 0 and da + db > self.nmax
-        return ExactSeries(
-            out, truncated=self.truncated or other.truncated or overflow
-        )
+        return ExactSeries([int.from_bytes(digits[i:i + width], "little") - half
+                            for i in range(0, size, width)])
 
     def partial_value(self, x: complex) -> complex:
         """Horner evaluation of the truncated polynomial at x."""
@@ -275,18 +254,6 @@ class BivariateSeries:
                            if col.get(q0) != other.get(q0))
                 first = diff if first is None else min(first, diff)
         return first
-
-    def is_marker_symmetric(self) -> bool:
-        """True if every row is invariant under m -> -m."""
-        return self.first_asymmetric_row() is None
-
-    def write_csv(self, fh) -> None:
-        """Write rows ``n,m,coefficient`` sorted by (n, m)."""
-        fh.write("n,m,coefficient\n")
-        for n, row in enumerate(self.dense_rows()):
-            for i, c in enumerate(row):
-                if c:
-                    fh.write(f"{n},{i - n},{c}\n")
 
 
 def _entry_bytes(nmax: int) -> float:

@@ -95,7 +95,7 @@ def test_factorized_table_matches_dense_reference(kind, nmax):
     for r in range(1, 7):
         assert table.symmetrized_moments(r) == symmetrized_reference(rows, r)
     assert table.collapse_marker().coeffs == [sum(row) for row in rows]
-    assert table.is_marker_symmetric()
+    assert table.first_asymmetric_row() is None
 
 
 @pytest.mark.parametrize("nmax", [1, 2, 7])
@@ -136,7 +136,6 @@ def test_first_asymmetric_row_is_lowest_differing_exponent():
     rows = table.dense_rows()
     first = next(N for N, row in enumerate(rows) if row != row[::-1])
     assert table.first_asymmetric_row() == first == 9
-    assert not table.is_marker_symmetric()
 
 
 def test_dense_limit_applies_to_unpacking_only(monkeypatch):
