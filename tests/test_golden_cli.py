@@ -35,6 +35,9 @@ EXACT_CIRCLE_FIELDS = ("N", "ell", "r", "exact", "panels")
 CIRCLE_ARGUMENT_LISTS = [
     ["circle", "--ladder", "50", "--r", "3", "--ell", "1"],
     ["circle", "--ladder", "20,40", "--r", "1,2", "--ell", "3"],
+    # the benchmark's circle command: panels at N = 200 and 400, where the
+    # Appell sums run longest
+    ["circle", "--r", "1,2,3,4,5,6", "--ladder", "50,100,200,400"],
 ]
 
 ARGUMENT_LISTS = [
