@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -206,7 +207,8 @@ def alternating_theta(ell: int, j: int, tau: complex, rho: float = 0.0,
         ratio = 2.0 ** grow * math.exp(-math.pi * ell * (2 * nb + 1) * y)
         return head / (1.0 - ratio) if ratio < 1.0 else math.inf
 
-    return qs._alternating_sum(term, tail, tol, max_terms, "theta sum").value
+    return qs._alternating_sum(map(term, count(1)), tail, tol, max_terms,
+                               "theta sum").value
 
 
 def euler_inversion_ratio(tau: complex, tol: float = 1e-13) -> complex:

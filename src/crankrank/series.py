@@ -27,9 +27,12 @@ back is exact.  Complex floating-point evaluation of the same functions,
 with certified tail bounds, lives in the ``*_value`` functions;
 those sum the defining series directly and never go through the truncated
 integer expansions, so the two routes can be played against each other.
-They take a complex point or a numpy array of points (one tail bound,
-taken at the largest |q|, certifies them all), are the package's only
-complex evaluators, and import numpy on first use only.
+Every power of q they need is built by multiplication, as a running
+product from term to term, never by a complex exp or power.  They take a complex point or a numpy
+array of points (the Euler product bounds each point relative to its own
+value; the Appell and ospt tails are one bound taken at the largest |q|),
+are the package's only complex evaluators, and import numpy on first use
+only.
 """
 
 from __future__ import annotations
@@ -140,12 +143,6 @@ class ExactSeries:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def write_csv(self, fh) -> None:
-        """Write rows ``n,coefficient`` in decimal."""
-        fh.write("n,coefficient\n")
-        for n, c in enumerate(self.coeffs):
-            fh.write(f"{n},{c}\n")
 
 
 def _pack(coeffs, width: int) -> int:
@@ -526,17 +523,22 @@ def ospt_series(nmax: int) -> ExactSeries:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A floating-point evaluation (of q's shape) and its certified tail bound."""
+    """A floating-point evaluation (of q's shape) and its certified tail bound.
+
+    The Euler product bounds each point on its own (an array of q's shape
+    for an array q); the Appell and ospt sums bound every point by one
+    float, taken at max|q|.
+    """
 
     value: complex | np.ndarray
-    tail_bound: float
+    tail_bound: float | np.ndarray
     terms: int
 
 
 def _disk_points(q, tol: float):
-    """Check a point or an array of points; return q, max|q|, log and exp.
+    """Check a point or an array of points; return q and max|q|.
 
-    Sparse powers q^k are exp(k log q), log q taken once.  Only a scalar q may be 0."""
+    Only a scalar q may be 0."""
     import numpy as np
     array = np.ndim(q) > 0
     q = np.asarray(q, dtype=complex) if array else q
@@ -548,11 +550,20 @@ def _disk_points(q, tol: float):
         raise ValueError("tol must be positive")
     if array and not absq.min() > 0.0:
         raise ValueError("array points must be nonzero")
-    return (q, aq, np.log, np.exp) if array else (q, aq, cmath.log, cmath.exp)
+    return q, aq
 
 
-def _alternating_sum(term, tail, tol, max_terms, name) -> SeriesValue:
-    """sum_{n>=1} (-1)^{n+1} term(n), stopped by a certified tail bound.
+def _power(q, k: int):
+    """q^k for an integer k >= 1 by repeated multiplication, as a new object."""
+    out = q * q if k > 1 else 1.0 * q
+    for _ in range(k - 2):
+        out *= q
+    return out
+
+
+def _alternating_sum(terms, tail, tol, max_terms, name) -> SeriesValue:
+    """sum_{n>=1} (-1)^{n+1} t_n over the iterator ``terms`` of t_1, t_2, ...,
+    stopped by a certified tail bound.
 
     ``tail(n)`` bounds the remainder after n terms at every point (inf while
     none holds); the sum stops once it is <= tol * min |partial sum|."""
@@ -560,8 +571,10 @@ def _alternating_sum(term, tail, tol, max_terms, name) -> SeriesValue:
     acc = 0j
     best = math.inf
     for n in range(1, max_terms + 1):
-        t = term(n)
-        acc = acc + t if n % 2 == 1 else acc - t
+        if n % 2 == 1:
+            acc += next(terms)
+        else:
+            acc -= next(terms)
         bound = tail(n)
         best = min(best, bound)
         if bound <= tol * max(float(np.abs(acc).min()), 1e-300):
@@ -576,10 +589,10 @@ def euler_inverse_value(q, tol: float = 1e-12,
 
     Multiplies out (1 - q^j) until the remaining log-tail
     sum_{j>J} |q|^j / (1-|q|^j), taken at max|q|, certifies a relative
-    error below tol at every point.
+    error below tol at every point.  The tail bound is that relative error
+    times |value|, point by point.
     """
-    import numpy as np
-    q, aq, _, _ = _disk_points(q, tol)
+    q, aq = _disk_points(q, tol)
     prod = qpow = 1.0 + 0.0j
     for j in range(1, max_terms + 1):
         qpow *= q
@@ -589,7 +602,7 @@ def euler_inverse_value(q, tol: float = 1e-12,
         rel = math.expm1(eps) if eps < 1.0 else float("inf")
         if rel <= tol:
             value = 1.0 / prod
-            return SeriesValue(value, rel * float(np.abs(value).max()), j)
+            return SeriesValue(value, rel * abs(value), j)
     raise ConvergenceError(
         f"euler_inverse did not converge in {max_terms} terms", achieved_bound=rel
     )
@@ -599,6 +612,12 @@ def appell_sum_value(ell: int, r: int, q, tol: float = 1e-12,
                      max_terms: int = EVAL_MAX_TERMS) -> SeriesValue:
     """Evaluate the one-sided Appell-type sum directly, at a point or an array of them.
 
+    Every power of q is a running product, updated in place.  With
+    s = r + 1 - r % 2 the exponent E(n) = (l n^2 + s n)/2 steps by
+    E(n) - E(n-1) = l(n-1) + (s+l)/2 (at least 1), so q^E(n) is q^E(n-1)
+    times a step that gains l factors of q per term; (1-q^n)^r is r-1
+    multiplications.
+
     The term bound |q|^{E(n)} / (1-|q|)^r decays like a Gaussian in n;
     summation stops when the geometric majorant of the tail, taken at
     max|q|, drops below tol times the partial sum.
@@ -607,15 +626,20 @@ def appell_sum_value(ell: int, r: int, q, tol: float = 1e-12,
         raise ValueError(f"ell must be 1 or 3, got {ell}")
     if r < 1:
         raise ValueError("r must be >= 1")
-    q, aq, log, exp = _disk_points(q, tol)
+    q, aq = _disk_points(q, tol)
     if aq == 0:
         return SeriesValue(0.0 + 0.0j, 0.0, 0)
-    logq = log(q)
     one_minus = 1.0 - aq
 
-    def term(n):
-        return (exp(_appell_exponent(ell, r, n) * logq)
-                / (1.0 - exp(n * logq)) ** r)
+    def terms():
+        qn = qe = 1.0 + 0.0j
+        step = _power(q, (r + 1 - r % 2 + ell) // 2)  # q^{E(1) - E(0)}
+        while True:
+            qn *= q
+            qe *= step
+            for _ in range(ell):
+                step *= q
+            yield qe / _power(1.0 - qn, r)
 
     def tail(n):
         # tail <= bound(n+1) / (1 - |q|^{l(n+1)}): exponent gaps are >= l*n
@@ -623,28 +647,32 @@ def appell_sum_value(ell: int, r: int, q, tol: float = 1e-12,
         head = aq ** _appell_exponent(ell, r, nb) / one_minus ** r
         return head / (1.0 - aq ** (ell * nb))
 
-    return _alternating_sum(term, tail, tol, max_terms, "appell_sum")
+    return _alternating_sum(terms(), tail, tol, max_terms, "appell_sum")
 
 
 def ospt_numerator_value(q, tol: float = 1e-12,
                          max_terms: int = EVAL_MAX_TERMS) -> SeriesValue:
     """Evaluate the ospt numerator series directly, at a point or an array of them.
 
-    Uses |(1-q^{n^2})/(1-q^n)| <= n, giving the term bound
+    q^n, q^{n(n+1)/2} and q^{n^2} = q^{(n-1)^2} q^{n-1} q^n are running
+    products.  Uses |(1-q^{n^2})/(1-q^n)| <= n, giving the term bound
     n |q|^{n(n+1)/2} and a geometric tail majorant.
     """
     import numpy as np
-    q, aq, log, exp = _disk_points(q, tol)
+    q, aq = _disk_points(q, tol)
     if aq == 0:
         return SeriesValue(0.0 + 0.0j, 0.0, 0)
-    logq = log(q)
 
-    def term(n):
-        qn = exp(n * logq)
-        if np.any(qn == 1.0):  # numerically degenerate; cannot happen for |q|<1
-            raise ArithmeticError("q^n == 1 inside the unit disk")
-        return (exp(n * (n + 1) // 2 * logq) * (1.0 - exp(n * n * logq))
-                / (1.0 - qn))
+    def terms():
+        qn = tri = sq = 1.0 + 0.0j
+        while True:
+            sq *= qn
+            qn *= q
+            sq *= qn
+            tri *= qn
+            if np.any(qn == 1.0):  # numerically degenerate; cannot happen for |q|<1
+                raise ArithmeticError("q^n == 1 inside the unit disk")
+            yield tri * (1.0 - sq) / (1.0 - qn)
 
     def tail(n):
         nb = n + 1
@@ -653,7 +681,7 @@ def ospt_numerator_value(q, tol: float = 1e-12,
         ratio = (1.0 + 1.0 / nb) * aq ** (nb + 1)
         return head / (1.0 - ratio) if ratio < 1.0 else math.inf
 
-    return _alternating_sum(term, tail, tol, max_terms, "ospt_numerator")
+    return _alternating_sum(terms(), tail, tol, max_terms, "ospt_numerator")
 
 
 def tau_to_q(tau: complex) -> complex:

@@ -303,9 +303,7 @@ def check_basis_change(ctx: SuiteContext) -> list:
 
 
 def _signed_binomial(top: int, k: int) -> int:
-    """C(top, k) extended to negative tops via the falling factorial."""
-    if k < 0:
-        return 0
+    """C(top, k) for k >= 0, extended to negative tops via the falling factorial."""
     num = 1
     for i in range(k):
         num *= top - i

@@ -257,16 +257,26 @@ class TestComplexEvaluation:
 
 _RADIUS = st.floats(0.05, 0.95)
 
+#: |q| on the circle of the N = 400 contour integral, the largest ``circle`` uses
+WRIGHT_RADIUS = math.exp(-math.pi / math.sqrt(6.0 * 400))
+
 
 @st.composite
-def disk_points(draw):
+def disk_points(draw, radius=_RADIUS):
     """Up to 8 points on one circle or on circles of mixed radii."""
     angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8))
     if draw(st.booleans()):
-        radii = [draw(_RADIUS)] * len(angles)
+        radii = [draw(radius)] * len(angles)
     else:
-        radii = draw(st.lists(_RADIUS, min_size=len(angles), max_size=len(angles)))
+        radii = draw(st.lists(radius, min_size=len(angles), max_size=len(angles)))
     return np.array([cmath.rect(rad, a) for rad, a in zip(radii, angles)])
+
+
+def wright_points():
+    """A complex scalar or an array of them, 0.05 <= |q| <= WRIGHT_RADIUS."""
+    radius = st.floats(0.05, WRIGHT_RADIUS)
+    return st.one_of(st.builds(cmath.rect, radius, st.floats(-math.pi, math.pi)),
+                     disk_points(radius))
 
 
 def appell_exponent(ell, r, n):
@@ -278,6 +288,56 @@ def appell_term_majorants(ell, r, aq, terms):
     """|q|^E(n) / (1 - |q|)^r for n <= terms: rounding scale of a summation."""
     return sum(aq ** appell_exponent(ell, r, n) / (1.0 - aq) ** r
                for n in range(1, terms + 1))
+
+
+def ospt_term_majorants(aq, terms):
+    """n |q|^{n(n+1)/2} for n <= terms: rounding scale of a summation."""
+    return sum(n * aq ** (n * (n + 1) // 2) for n in range(1, terms + 1))
+
+
+def exp_form_appell(ell, r, q, terms):
+    """The first ``terms`` terms of the Appell sum, each power of q taken as
+    exp(k log q): the simple path that the evaluator's running products replace."""
+    logq = np.log(q)
+    return sum((-1) ** (n + 1) * np.exp(appell_exponent(ell, r, n) * logq)
+               / (1.0 - np.exp(n * logq)) ** r for n in range(1, terms + 1))
+
+
+def exp_form_ospt_numerator(q, terms):
+    """The first ``terms`` terms of the ospt numerator series in exp(k log q) form."""
+    logq = np.log(q)
+    return sum((-1) ** (n + 1) * np.exp(n * (n + 1) // 2 * logq)
+               * (1.0 - np.exp(n * n * logq)) / (1.0 - np.exp(n * logq))
+               for n in range(1, terms + 1))
+
+
+class TestAgainstExpForm:
+    """The running-product evaluators against the exp-form partial sums of
+    as many terms, at scalars and arrays out to the N = 400 circle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=wright_points(), ell=st.sampled_from((1, 3)), r=st.integers(1, 6))
+    def test_appell(self, q, ell, r):
+        res = qs.appell_sum_value(ell, r, q, 1e-15)
+        assert np.shape(res.value) == np.shape(q)
+        ref = exp_form_appell(ell, r, q, res.terms)
+        for z, got, want in zip(np.ravel(q), np.ravel(res.value), np.ravel(ref)):
+            rounding = 1e-13 * appell_term_majorants(ell, r, abs(z), res.terms)
+            assert abs(got - want) <= rounding
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=wright_points())
+    def test_ospt_numerator(self, q):
+        res = qs.ospt_numerator_value(q, 1e-15)
+        assert np.shape(res.value) == np.shape(q)
+        ref = exp_form_ospt_numerator(q, res.terms)
+        for z, got, want in zip(np.ravel(q), np.ravel(res.value), np.ravel(ref)):
+            assert abs(got - want) <= 1e-13 * ospt_term_majorants(abs(z), res.terms)
+
+    def test_scalar_stays_python_complex(self):
+        for res in (qs.appell_sum_value(3, 4, 0.5 + 0.5j),
+                    qs.ospt_numerator_value(0.5 + 0.5j)):
+            assert type(res.value) is complex
 
 
 class TestArrayEvaluation:
@@ -314,8 +374,7 @@ class TestArrayEvaluation:
         res = qs.ospt_numerator_value(q)
         assert res.value.shape == q.shape
         aq = float(np.abs(q).max())
-        rounding = 1e-13 * sum(n * aq ** (n * (n + 1) // 2)
-                               for n in range(1, res.terms + 1))
+        rounding = 1e-13 * ospt_term_majorants(aq, res.terms)
         for z, got in zip(q, res.value):
             point = qs.ospt_numerator_value(complex(z))
             assert abs(got - point.value) <= point.tail_bound + rounding
@@ -336,8 +395,8 @@ class TestAgainstMpmath:
     """The integrand's points near |q| = e^{-pi/sqrt(6*400)}, at 40 digits."""
 
     decay = math.pi / math.sqrt(6.0 * 400)
-    q = np.exp(-decay + 2j * math.pi * np.array(
-        [0.0, 0.002, 0.0102, 0.03, 0.11, 0.25, 0.37, 0.4999]))
+    x = np.array([0.0, 0.002, 0.0102, 0.03, 0.11, 0.25, 0.37, 0.4999])
+    q = np.exp(-decay + 2j * math.pi * x)
 
     @pytest.mark.parametrize("ell", [1, 3])
     @pytest.mark.parametrize("r", [1, 2, 4, 6])
@@ -352,16 +411,30 @@ class TestAgainstMpmath:
                 scale = float(mpmath.fsum(abs(t) for t in terms))
                 assert abs(got - ref) <= res.tail_bound + 1e-13 * scale
 
-    def test_euler_inverse(self):
-        res = qs.euler_inverse_value(self.q, 1e-15)
+    def test_ospt_numerator(self):
+        res = qs.ospt_numerator_value(self.q, 1e-15)
         with mpmath.workdps(40):
             for got, z in zip(res.value, self.q):
+                z = mpmath.mpc(z.real, z.imag)
+                terms = [(-1) ** (n + 1) * z ** (n * (n + 1) // 2)
+                         * (1 - z ** (n * n)) / (1 - z ** n) for n in range(1, 120)]
+                ref = complex(mpmath.fsum(terms))
+                scale = float(mpmath.fsum(abs(t) for t in terms))
+                assert abs(got - ref) <= res.tail_bound + 1e-13 * scale
+
+    def test_euler_inverse(self):
+        res = qs.euler_inverse_value(self.q, 1e-15)
+        assert res.tail_bound.shape == self.q.shape
+        with mpmath.workdps(40):
+            for got, bound, z in zip(res.value, res.tail_bound, self.q):
                 ref = complex(1 / mpmath.qp(mpmath.mpc(z.real, z.imag)))
-                assert abs(got - ref) <= res.tail_bound + 1e-13 * abs(ref)
+                assert abs(got - ref) <= bound + 1e-13 * abs(ref)
 
+    def test_euler_bound_is_relative_per_point(self):
+        # |1/(q;q)_inf| spans many orders of magnitude over the circle; a
+        # bound scaled by the largest value certified only 3e-5 at x = 0.11
+        res = qs.euler_inverse_value(self.q, 1e-15)
+        relative = res.tail_bound / np.abs(res.value)
+        assert relative[self.x == 0.11] <= 1e-14
+        assert np.all(relative <= 1e-14)
 
-def test_series_csv(tmp_path):
-    path = tmp_path / "series.csv"
-    with open(path, "w") as fh:
-        qs.partition_series(3).write_csv(fh)
-    assert path.read_text() == "n,coefficient\n0,1\n1,1\n2,2\n3,3\n"
