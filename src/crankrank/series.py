@@ -565,7 +565,8 @@ def _alternating_sum(terms, tail, tol, max_terms, name) -> SeriesValue:
     """sum_{n>=1} (-1)^{n+1} t_n over the iterator ``terms`` of t_1, t_2, ...,
     stopped by a certified tail bound.
 
-    ``tail(n)`` bounds the remainder after n terms at every point (inf while
+    Each term is added in place and dropped before the next is made, so on
+    an array no more than one term is live at a time.  ``tail(n)`` bounds the remainder after n terms at every point (inf while
     none holds); the sum stops once it is <= tol * min |partial sum|."""
     import numpy as np
     acc = 0j

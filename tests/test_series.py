@@ -335,6 +335,7 @@ class TestAgainstExpForm:
             assert abs(got - want) <= 1e-13 * ospt_term_majorants(abs(z), res.terms)
 
     def test_scalar_stays_python_complex(self):
+        # ``circle --format csv`` writes repr() of values derived from these
         for res in (qs.appell_sum_value(3, 4, 0.5 + 0.5j),
                     qs.ospt_numerator_value(0.5 + 0.5j)):
             assert type(res.value) is complex
@@ -431,8 +432,8 @@ class TestAgainstMpmath:
                 assert abs(got - ref) <= bound + 1e-13 * abs(ref)
 
     def test_euler_bound_is_relative_per_point(self):
-        # |1/(q;q)_inf| spans many orders of magnitude over the circle; a
-        # bound scaled by the largest value certified only 3e-5 at x = 0.11
+        # |1/(q;q)_inf| spans many orders of magnitude over the circle, so
+        # each point's bound must scale with its own value
         res = qs.euler_inverse_value(self.q, 1e-15)
         relative = res.tail_bound / np.abs(res.value)
         assert relative[self.x == 0.11] <= 1e-14
