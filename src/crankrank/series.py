@@ -28,11 +28,11 @@ with certified tail bounds, lives in the ``*_value`` functions;
 those sum the defining series directly and never go through the truncated
 integer expansions, so the two routes can be played against each other.
 Every power of q they need is built by multiplication, as a running
-product from term to term, never by a complex exp or power.  They take a complex point or a numpy
-array of points (the Euler product bounds each point relative to its own
-value; the Appell and ospt tails are one bound taken at the largest |q|),
-are the package's only complex evaluators, and import numpy on first use
-only.
+product from term to term, never by a complex exp or power.  They take a
+complex point or a numpy array of points (the Euler product bounds each
+point relative to its own value; the Appell and ospt tails are one bound
+taken at the largest |q|), are the package's only complex evaluators, and
+import numpy on first use only.
 """
 
 from __future__ import annotations
@@ -566,8 +566,9 @@ def _alternating_sum(terms, tail, tol, max_terms, name) -> SeriesValue:
     stopped by a certified tail bound.
 
     Each term is added in place and dropped before the next is made, so on
-    an array no more than one term is live at a time.  ``tail(n)`` bounds the remainder after n terms at every point (inf while
-    none holds); the sum stops once it is <= tol * min |partial sum|."""
+    an array no more than one term is live at a time.  ``tail(n)`` bounds
+    the remainder after n terms at every point (inf while none holds); the
+    sum stops once it is <= tol * min |partial sum|."""
     import numpy as np
     acc = 0j
     best = math.inf
