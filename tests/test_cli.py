@@ -185,8 +185,11 @@ class TestCircleCommand:
         code, out, _ = run_cli(capsys, "circle", "--ladder", "50,100",
                                "--r", "3", "--ell", "1", "--format", "csv")
         assert code == 0
+        # floats as repr: the shortest text that reads back to the same value
+        assert out == "N,x,y,lhs,rhs_bound,ratio\n" + "".join(
+            f"{N},{x!r},{y!r},{lhs!r},{rhs!r},{ratio!r}\n"
+            for N, x, y, lhs, rhs, ratio in circle.away_bound_rows(1, 3, [50, 100]))
         lines = out.strip().split("\n")
-        assert lines[0] == "N,x,y,lhs,rhs_bound,ratio"
         assert len(lines) == 13  # 6 window samples per ladder point
         ratios = [float(ln.split(",")[-1]) for ln in lines[1:]]
         assert all(0 <= x < 1 for x in ratios)
@@ -271,6 +274,29 @@ class TestDeterminism:
         code, _, _ = run_cli(capsys, "parity", "--nmax", "5", "--out", str(path))
         assert code == 0
         assert path.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--nmax", "6", "--kind", "both"],
+    ["tables", "--nmax", "4", "--kind", "both", "--convention", "combinatorial"],
+    ["moments", "--nmax", "8", "--r", "1,2,3"],
+    ["moments", "--nmax", "8", "--r", "1,2,3", "--variant", "full"],
+    ["moments", "--nmax", "8", "--r", "2,3", "--variant", "symmetrized",
+     "--ell", "3"],
+    ["spt-ospt", "--nmax", "12"],
+    ["parity", "--nmax", "12"],
+], ids=" ".join)
+def test_csv_rows_are_json_rows(argv, capsys):
+    # one row format: each CSV line after the header is a JSON row joined by commas
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, dumped, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(dumped)
+    assert rows
+    header, *lines = out.split("\n")
+    assert header.count(",") == len(rows[0]) - 1
+    assert lines == [",".join(map(str, row)) for row in rows] + [""]
 
 
 @pytest.mark.parametrize("run, calls", [

@@ -82,6 +82,8 @@ class TestMoments:
 
 class TestSymmetrized:
     def test_crank_side_examples(self):
+        # order 1 weighs m by C(m, 1) = m: the Durfee-square totals
+        assert mm.symmetrized_series(1, 1, 3).values == [0, 1, 2, 3]
         assert mm.symmetrized_series(1, 1, 6).values[4] == 6
         assert mm.symmetrized_series(1, 2, 4).values[2] == 1
 

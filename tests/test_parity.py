@@ -1,9 +1,9 @@
-import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crankrank import cli
 from crankrank import moments as mm
 from crankrank import parity as pa
 
@@ -126,14 +126,13 @@ class TestParityRows:
         with pytest.raises(ValueError):
             pa.parity_rows([0, 1], [0, 1], 5)
 
-    def test_csv_format(self):
-        spt, ospt = mm.spt_ospt(2)
-        buf = io.StringIO()
-        pa.write_parity_csv(pa.parity_rows(spt, ospt, 2), buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "N,24N-1,factorization,predicted_parity,ospt_mod_2,spt_mod_2"
-        assert lines[1] == "1,23,23,1,1,1"
-        assert lines[2] == "2,47,47,1,1,1"
+    def test_csv_format(self, capsys):
+        assert cli.main(["parity", "--nmax", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "N,24N-1,factorization,predicted_parity,ospt_mod_2,spt_mod_2\n"
+            "1,23,23,1,1,1\n"
+            "2,47,47,1,1,1\n"
+        )
 
     def test_factorization_format(self):
         assert pa.format_factorization(((2, 3), (7, 1))) == "2^3*7"

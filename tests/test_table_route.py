@@ -8,7 +8,6 @@ per-row loop over m.  They share only ``numerator_entries`` and
 ``partition_series`` with the code under test.
 """
 
-import io
 from math import comb
 
 import pytest
@@ -99,7 +98,7 @@ def test_factorized_table_matches_dense_reference(kind, nmax):
 
 
 @pytest.mark.parametrize("nmax", [1, 2, 7])
-def test_combinatorial_n1_row(nmax):
+def test_combinatorial_n1_row(nmax, capsys):
     table = mm.CrankRankTable.build("crank", nmax, mm.COMBINATORIAL)
     rows = dense_reference("crank", nmax)
     assert rows[1] == [1, -1, 1]
@@ -108,9 +107,9 @@ def test_combinatorial_n1_row(nmax):
     assert table.dense_rows() == rows
     assert table.distribution(1) == {0: 1}
     assert [table.count(m, 1) for m in (-1, 0, 1)] == [0, 1, 0]
-    buf = io.StringIO()
-    table.write_csv(buf)
-    assert [line for line in buf.getvalue().splitlines()
+    assert cli.main(["tables", "--nmax", str(nmax),
+                     "--convention", "combinatorial"]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
             if line.startswith("crank,1,")] == ["crank,1,0,1"]
 
 
@@ -147,7 +146,7 @@ def test_dense_limit_applies_to_unpacking_only(monkeypatch):
     with pytest.raises(ResourceLimitError, match="dense table to nmax=50"):
         table.rows
     with pytest.raises(ResourceLimitError):
-        table.write_csv(io.StringIO())
+        table.dense_rows()
     assert table.distribution(50) == {
         m - 50: c for m, c in enumerate(dense_reference("rank", 50)[50]) if c}
 
