@@ -374,7 +374,7 @@ def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
         return f * amplitude * np.exp(-2j * math.pi * N * xs)
 
     if exact is None:
-        exact = moments.symmetrized_series(ell, r, N).values[N]
+        exact = moments.symmetrized_series(ell, r, N)[N]
     # conjugate symmetry: the integral over [-b, -a] is the conjugate of [a, b]
     tol_abs = target_rel * float(exact)
     main_start, err_start = panels if panels is not None else (8, max(32, N // 2))
@@ -603,13 +603,6 @@ def away_bound_rows(ell: int, r: int, Ns, window_fractions=(0.0, 0.02, 0.1, 0.3,
             )
             rows.append((N, x, y, lhs, envelope, lhs / envelope))
     return rows
-
-
-def write_bound_grid_csv(rows, fh) -> None:
-    """Write rows ``N,x,y,lhs,rhs_bound,ratio``."""
-    fh.write("N,x,y,lhs,rhs_bound,ratio\n")
-    for N, x, y, lhs, rhs, ratio in rows:
-        fh.write(f"{N},{x!r},{y!r},{lhs!r},{rhs!r},{ratio!r}\n")
 
 
 def ospt_numerator_limit_table(ys) -> list:

@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 usage error, 2 verification/convergence failure,
 
 Each invocation pays only for the command it runs: ``circle`` imports its
 module, and with it numpy, when it starts, and no other command loads
-numpy.  CSV output is written piece by piece to stdout or ``--out``
-(``tables`` one kind's dense rows at a time); JSON is dumped whole.
+numpy.  Every tabular command writes its rows through ``_write_rows``:
+CSV piece by piece to stdout or ``--out`` (``tables`` one dense row at a
+time), JSON dumped whole as one list of the same rows.
 """
 
 from __future__ import annotations
@@ -126,6 +127,25 @@ def _emit(text: str, out_path) -> None:
             fh.write("\n")
 
 
+def _write_rows(args, header: str, blocks) -> None:
+    """Write the row tuples of ``blocks``, an iterable of lists of rows, in
+    ``args.format`` to stdout or ``args.out``.
+
+    Big integers arrive as ``str``, so both formats carry the same digits.
+    CSV is ``header``, then each row's fields joined by commas, with one
+    write per block (an unbuffered stream makes each write a system call);
+    JSON is one list of every row.
+    """
+    if args.format == "json":
+        _emit(json.dumps([row for block in blocks for row in block]), args.out)
+        return
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    with _writer(args.out) as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            fh.write("".join([line % row for row in block]))
+
+
 def _validate_ladder(ladder) -> None:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise _UsageError(f"ladder must be strictly increasing, got {ladder}")
@@ -141,18 +161,10 @@ def _cmd_tables(args) -> int:
         for kind in kinds
     ]
     # the factorized tables are small; one kind's dense rows at a time
-    if args.format == "csv":
-        with _writer(args.out) as fh:
-            fh.write(moments.TABLE_CSV_HEADER)
-            for table in tables:
-                table.write_csv_rows(fh)
-    else:
-        _emit(json.dumps([
-            [table.kind, N, i - N, str(c)]
-            for table in tables
-            for N, row in enumerate(table.dense_rows())
-            for i, c in enumerate(row) if c
-        ]), args.out)
+    _write_rows(args, "kind,n,m,coefficient", (
+        [(table.kind, N, i - N, str(c)) for i, c in enumerate(row) if c]
+        for table in tables for N, row in enumerate(table.dense_rows())
+    ))
     return 0
 
 
@@ -177,33 +189,19 @@ def _cmd_moments(args) -> int:
                                              args.nmax)
             for r in r_list:
                 values[r, ell] = moments.positive_from_symmetrized(sym, r)
-    variant = args.variant
-    blocks = [(r, ell, kind) for r in r_list for ell, kind in kinds.items()]
-    if args.format == "csv":
-        with _writer(args.out) as fh:
-            fh.write("kind,variant,r,ell,N,value\n")
-            for r, ell, kind in blocks:
-                for N, v in enumerate(values[r, ell]):
-                    fh.write(f"{kind},{variant},{r},{ell},{N},{v}\n")
-    else:
-        _emit(json.dumps([
-            [kind, variant, r, ell, N, str(v)]
-            for r, ell, kind in blocks for N, v in enumerate(values[r, ell])
-        ]), args.out)
+    _write_rows(args, "kind,variant,r,ell,N,value", (
+        [(kind, args.variant, r, ell, N, str(v))
+         for N, v in enumerate(values[r, ell])]
+        for r in r_list for ell, kind in kinds.items()
+    ))
     return 0
 
 
 def _cmd_spt_ospt(args) -> int:
     spt, ospt = moments.spt_ospt(args.nmax)
-    if args.format == "csv":
-        with _writer(args.out) as fh:
-            fh.write("N,spt,ospt\n")
-            for N in range(1, args.nmax + 1):
-                fh.write(f"{N},{spt[N]},{ospt[N]}\n")
-    else:
-        _emit(json.dumps(
-            [[N, str(spt[N]), str(ospt[N])] for N in range(1, args.nmax + 1)]
-        ), args.out)
+    _write_rows(args, "N,spt,ospt", [
+        [(N, str(spt[N]), str(ospt[N])) for N in range(1, args.nmax + 1)]
+    ])
     return 0
 
 
@@ -271,9 +269,10 @@ def _cmd_circle(args) -> int:
             raise _UsageError(
                 "circle --format csv needs exactly one --r and one --ell"
             )
-        rows = circle.away_bound_rows(ells[0], r_list[0], ladder)
-        with _writer(args.out) as fh:
-            circle.write_bound_grid_csv(rows, fh)
+        # %s of a Python float is its repr, the shortest text that reads back
+        _write_rows(args, "N,x,y,lhs,rhs_bound,ratio", [
+            circle.away_bound_rows(ells[0], r_list[0], ladder)
+        ])
         return 0
     for N in ladder:  # before any exact coefficient is built up to max(ladder)
         circle.check_quadrature_order(N)
@@ -291,16 +290,12 @@ def _cmd_circle(args) -> int:
 def _cmd_parity(args) -> int:
     spt, ospt = moments.spt_ospt(args.nmax)
     rows = parity.parity_rows(spt, ospt, args.nmax)
-    if args.format == "csv":
-        with _writer(args.out) as fh:
-            parity.write_parity_csv(rows, fh)
-    else:
-        _emit(json.dumps([
-            [row.N, row.modulus_argument,
-             parity.format_factorization(row.factorization),
-             int(row.predicted_odd), row.ospt_mod_2, row.spt_mod_2]
-            for row in rows
-        ]), args.out)
+    _write_rows(
+        args, "N,24N-1,factorization,predicted_parity,ospt_mod_2,spt_mod_2",
+        [[(row.N, row.modulus_argument,
+           parity.format_factorization(row.factorization),
+           int(row.predicted_odd), row.ospt_mod_2, row.spt_mod_2)
+          for row in rows]])
     return 0 if all(row.consistent for row in rows) else 2
 
 

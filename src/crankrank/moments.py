@@ -32,7 +32,6 @@ zero) is available for table export only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -40,9 +39,6 @@ from . import series as qs
 
 GENERATING_FUNCTION = "generating_function"
 COMBINATORIAL = "combinatorial"
-
-#: Header line of ``CrankRankTable.write_csv``.
-TABLE_CSV_HEADER = "kind,n,m,coefficient\n"
 
 #: Largest default order for moment tables; big enough for the asymptotic
 #: trend checks, small enough for minutes-scale runs.
@@ -67,8 +63,9 @@ class CrankRankTable(qs.BivariateSeries):
     sparse numerator columns of the generating function and p(N).  Every
     sum over m with weight w(m) is then one product of the weighted
     numerator with p, so no bulk moment unpacks the histogram.  Dense
-    rows, of length 2N+1 with index m+N, are built only for export and
-    row lookups (``rows``, ``distribution``, ``count``, ``write_csv``).
+    rows, of length 2N+1 with index m+N, are built only for row lookups
+    (``rows``, ``distribution``, ``count``) and for export by the
+    ``tables`` command.
     Columns m and -m hold separately computed monomials, so row symmetry
     is a genuine check rather than a storage artifact.
     """
@@ -189,36 +186,6 @@ class CrankRankTable(qs.BivariateSeries):
         orders += [self.full_moments(2 * k) for k in range(1, k_max + 1)]
         return [list(at_N) for at_N in zip(*orders)]
 
-    def write_csv(self, fh) -> None:
-        """Write ``TABLE_CSV_HEADER``, then rows ``kind,n,m,coefficient``
-        sorted by (n, m)."""
-        fh.write(TABLE_CSV_HEADER)
-        self.write_csv_rows(fh)
-
-    def write_csv_rows(self, fh) -> None:
-        """The rows of ``write_csv`` without its header, one write per
-        dense row (an unbuffered stream makes each write a system call)."""
-        kind = self.kind
-        for N, row in enumerate(self.dense_rows()):
-            fh.write("".join(f"{kind},{N},{i - N},{c}\n"
-                             for i, c in enumerate(row) if c))
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """A single family of exact moment values indexed by N."""
-
-    kind: str           # "crank" | "rank"
-    variant: str        # "full" | "positive" | "symmetrized"
-    r: int
-    ell: int | None     # 1 or 3 for symmetrized, None otherwise
-    values: list
-
-    def write_csv(self, fh) -> None:
-        fh.write("N,value\n")
-        for N, v in enumerate(self.values):
-            fh.write(f"{N},{v}\n")
-
 
 def kind_for_ell(ell: int) -> str:
     if ell == 1:
@@ -253,14 +220,12 @@ def symmetrized_family(ell: int, orders, nmax: int) -> dict:
     return {r: (qs.appell_sum(ell, r, nmax) * p).coeffs for r in orders}
 
 
-def symmetrized_series(ell: int, r: int, nmax: int) -> MomentTable:
-    """The order-r symmetrized positive moments, see ``symmetrized_family``."""
+def symmetrized_series(ell: int, r: int, nmax: int) -> list:
+    """The order-r symmetrized positive moments for N = 0..nmax, see
+    ``symmetrized_family``."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return MomentTable(
-        kind=kind_for_ell(ell), variant="symmetrized", r=r, ell=ell,
-        values=symmetrized_family(ell, (r,), nmax)[r],
-    )
+    return symmetrized_family(ell, (r,), nmax)[r]
 
 
 def _binomial_basis_polynomial(ell: int) -> list:
@@ -332,13 +297,13 @@ def positive_from_symmetrized(sym: dict, r: int) -> list:
     return values
 
 
-def positive_moment_series(kind: str, r: int, nmax: int) -> MomentTable:
-    """Ordinary positive moments via the symmetrized series and basis change."""
+def positive_moment_series(kind: str, r: int, nmax: int) -> list:
+    """Ordinary positive moments for N = 0..nmax, via the symmetrized series
+    and the basis change."""
     if r < 1:
         raise ValueError("r must be >= 1")
     sym = symmetrized_family(ell_for_kind(kind), range(1, r + 1), nmax)
-    return MomentTable(kind=kind, variant="positive", r=r, ell=None,
-                       values=positive_from_symmetrized(sym, r))
+    return positive_from_symmetrized(sym, r)
 
 
 def spt_ospt_from_symmetrized(sym_crank: dict, sym_rank: dict) -> tuple:

@@ -206,14 +206,3 @@ def format_factorization(factors) -> str:
     for p, e in factors:
         parts.append(f"{p}^{e}" if e > 1 else str(p))
     return "*".join(parts)
-
-
-def write_parity_csv(rows, fh) -> None:
-    """Write rows ``N,24N-1,factorization,predicted_parity,ospt_mod_2,spt_mod_2``."""
-    fh.write("N,24N-1,factorization,predicted_parity,ospt_mod_2,spt_mod_2\n")
-    for row in rows:
-        fh.write(
-            f"{row.N},{row.modulus_argument},"
-            f"{format_factorization(row.factorization)},"
-            f"{int(row.predicted_odd)},{row.ospt_mod_2},{row.spt_mod_2}\n"
-        )

@@ -75,38 +75,10 @@ class ExactSeries:
     def nmax(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.nmax >= 6 else ""
         return f"ExactSeries([{head}{tail}], nmax={self.nmax})"
-
-    def _check_order(self, other: "ExactSeries") -> None:
-        if self.nmax != other.nmax:
-            raise ValueError(
-                f"truncation orders differ: {self.nmax} != {other.nmax}"
-            )
-
-    def __add__(self, other: "ExactSeries") -> "ExactSeries":
-        self._check_order(other)
-        return ExactSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "ExactSeries") -> "ExactSeries":
-        self._check_order(other)
-        return ExactSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "ExactSeries":
-        return ExactSeries([-a for a in self.coeffs])
 
     def __mul__(self, other: "ExactSeries") -> "ExactSeries":
         """Exact Cauchy product, truncated at nmax, by Kronecker substitution.
@@ -121,7 +93,10 @@ class ExactSeries:
         borrows from or carries into its neighbour, and one multiplication
         gives every truncated coefficient exactly.
         """
-        self._check_order(other)
+        if self.nmax != other.nmax:
+            raise ValueError(
+                f"truncation orders differ: {self.nmax} != {other.nmax}"
+            )
         count = self.nmax + 1
         a, b = self.coeffs, other.coeffs
         bits = (
@@ -259,16 +234,20 @@ def _entry_bytes(nmax: int) -> float:
     return 8 + 28 + math.pi * math.sqrt(2.0 * nmax / 3.0) / math.log(256.0)
 
 
+def _refuse_over_limit(what: str, size: float) -> None:
+    """Raise ResourceLimitError when ``what``, estimated at ``size`` bytes,
+    is over ``TABLE_BYTES_LIMIT``."""
+    if size > TABLE_BYTES_LIMIT:
+        raise ResourceLimitError(f"{what} needs about {size:.3g} bytes, "
+                                 f"over the limit of {TABLE_BYTES_LIMIT}")
+
+
 def check_dense_table(nmax: int) -> None:
     """Refuse a dense table to nmax, (nmax+1)^2 entries, estimated over the limit."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    size = (nmax + 1) ** 2 * _entry_bytes(nmax)
-    if size > TABLE_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"a dense table to nmax={nmax} needs about {size:.3g} bytes, "
-            f"over the limit of {TABLE_BYTES_LIMIT}"
-        )
+    _refuse_over_limit(f"a dense table to nmax={nmax}",
+                       (nmax + 1) ** 2 * _entry_bytes(nmax))
 
 
 def check_quotient_family(orders, nmax: int) -> None:
@@ -282,13 +261,9 @@ def check_quotient_family(orders, nmax: int) -> None:
         raise ValueError("nmax must be >= 0")
     r_max = max(orders, default=0)
     slot = _entry_bytes(nmax) + r_max * math.log(max(nmax, 1), 256)
-    size = len(orders) * (nmax + 1) * slot
-    if size > TABLE_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"a quotient family of {len(orders)} orders up to r={r_max} to "
-            f"nmax={nmax} needs about {size:.3g} bytes, over the limit of "
-            f"{TABLE_BYTES_LIMIT}"
-        )
+    _refuse_over_limit(
+        f"a quotient family of {len(orders)} orders up to r={r_max} to "
+        f"nmax={nmax}", len(orders) * (nmax + 1) * slot)
 
 
 def partition_series(nmax: int) -> ExactSeries:
@@ -438,12 +413,9 @@ def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
     # about 100 bytes per monomial (a dict slot with its share of the hash
     # table, and the int key), and nmax+1 entries of p; at nmax=2000 the
     # crank table is estimated at 3.5 MB and holds 3.1 MB (4.9 MB peak)
-    size = _numerator_size(kind, nmax) * 100 + (nmax + 1) * _entry_bytes(nmax)
-    if size > TABLE_BYTES_LIMIT:
-        raise ResourceLimitError(
-            f"a factorized {kind} table to nmax={nmax} needs about "
-            f"{size:.3g} bytes, over the limit of {TABLE_BYTES_LIMIT}"
-        )
+    _refuse_over_limit(
+        f"a factorized {kind} table to nmax={nmax}",
+        _numerator_size(kind, nmax) * 100 + (nmax + 1) * _entry_bytes(nmax))
     return BivariateSeries(numerator_columns(numerator_entries(kind, nmax)),
                            partition_series(nmax))
 
@@ -660,7 +632,6 @@ def ospt_numerator_value(q, tol: float = 1e-12,
     products.  Uses |(1-q^{n^2})/(1-q^n)| <= n, giving the term bound
     n |q|^{n(n+1)/2} and a geometric tail majorant.
     """
-    import numpy as np
     q, aq = _disk_points(q, tol)
     if aq == 0:
         return SeriesValue(0.0 + 0.0j, 0.0, 0)
@@ -672,8 +643,6 @@ def ospt_numerator_value(q, tol: float = 1e-12,
             qn *= q
             sq *= qn
             tri *= qn
-            if np.any(qn == 1.0):  # numerically degenerate; cannot happen for |q|<1
-                raise ArithmeticError("q^n == 1 inside the unit disk")
             yield tri * (1.0 - sq) / (1.0 - qn)
 
     def tail(n):

@@ -212,7 +212,7 @@ class TestTrend:
 
     def test_moment_trend_report(self):
         Ns = [250, 500, 1000, 2000]
-        vals = [mm.symmetrized_series(1, 3, N).values[N] for N in Ns]
+        vals = [mm.symmetrized_series(1, 3, N)[N] for N in Ns]
         m = asy.build_model(3, 1)
         rep = asy.trend(Ns, vals, m, "mu")
         assert rep.decreasing
@@ -226,7 +226,7 @@ class TestTrend:
         # the "eta" weight the two-term residual keeps shrinking like 1/N,
         # with the "shifted" weight it stalls at the 1/sqrt(N) scale
         Ns = [500, 1000, 2000]
-        vals = [mm.symmetrized_series(1, 4, N).values[N] for N in Ns]
+        vals = [mm.symmetrized_series(1, 4, N)[N] for N in Ns]
         rep_eta = asy.trend(Ns, vals, asy.build_model(4, 1, "eta"), "mu", terms=2)
         rep_shifted = asy.trend(
             Ns, vals, asy.build_model(4, 1, "shifted"), "mu", terms=2
@@ -238,7 +238,7 @@ class TestTrend:
     def test_two_term_beats_one_term(self):
         for r in (3, 4, 5):
             N = 2000
-            val = mm.symmetrized_series(1, r, N).values[N]
+            val = mm.symmetrized_series(1, r, N)[N]
             m = asy.build_model(r, 1)
             one = abs(math.exp(math.log(val) - asy.predict_log(m, "mu", N, 1)) - 1)
             two = abs(math.exp(math.log(val) - asy.predict_log(m, "mu", N, 2)) - 1)

@@ -216,7 +216,7 @@ class TestWrightIntegrals:
             cm.wright_integrals(1, 3, 500)
 
     def test_exact_override(self):
-        true = mm.symmetrized_series(1, 3, 60).values[60]
+        true = mm.symmetrized_series(1, 3, 60)[60]
         rep = cm.wright_integrals(1, 3, 60, exact=true)
         assert rep.exact == true
 

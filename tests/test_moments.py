@@ -83,17 +83,17 @@ class TestMoments:
 class TestSymmetrized:
     def test_crank_side_examples(self):
         # order 1 weighs m by C(m, 1) = m: the Durfee-square totals
-        assert mm.symmetrized_series(1, 1, 3).values == [0, 1, 2, 3]
-        assert mm.symmetrized_series(1, 1, 6).values[4] == 6
-        assert mm.symmetrized_series(1, 2, 4).values[2] == 1
+        assert mm.symmetrized_series(1, 1, 3) == [0, 1, 2, 3]
+        assert mm.symmetrized_series(1, 1, 6)[4] == 6
+        assert mm.symmetrized_series(1, 2, 4)[2] == 1
 
     def test_rank_side_example(self):
-        assert mm.symmetrized_series(3, 1, 6).values[4] == 4
+        assert mm.symmetrized_series(3, 1, 6)[4] == 4
 
     def test_matches_binomial_over_table(self, small_tables):
         for ell, kind in ((1, "crank"), (3, "rank")):
             for r in range(1, 7):
-                series = mm.symmetrized_series(ell, r, 40).values
+                series = mm.symmetrized_series(ell, r, 40)
                 for N in range(41):
                     assert series[N] == small_tables[kind].symmetrized_moment(r, N)
 
@@ -105,7 +105,7 @@ class TestSymmetrized:
         }
         for ell, kind in ((1, "crank"), (3, "rank")):
             for r in range(1, 7):
-                series = mm.symmetrized_series(ell, r, 25).values
+                series = mm.symmetrized_series(ell, r, 25)
                 off = (r - 1) // 2
                 for N in range(2, 26):
                     want = sum(
@@ -145,7 +145,7 @@ class TestBasisChange:
             for r in range(1, 6):
                 coeffs = mm.basis_change_coeffs(r)
                 sym = {
-                    l: mm.symmetrized_series(ell, l, 40).values
+                    l: mm.symmetrized_series(ell, l, 40)
                     for l in range(1, r + 1)
                 }
                 for N in range(41):
@@ -158,7 +158,7 @@ class TestBasisChange:
     def test_series_route_positive_moments(self, small_tables):
         for kind in ("crank", "rank"):
             for r in range(1, 11):
-                got = mm.positive_moment_series(kind, r, 40).values
+                got = mm.positive_moment_series(kind, r, 40)
                 want = [
                     small_tables[kind].positive_moment(r, N) for N in range(41)
                 ]
@@ -211,25 +211,6 @@ class TestSptOspt:
         table = mm.CrankRankTable.build("crank", 25)
         for N in range(1, 26):
             assert table.positive_moment(1, N) == pt.brute_aggregates(N).durfee_sum
-
-
-def test_moment_table_csv(tmp_path):
-    # mu_1^+(N) = 0, 1, 2, 3 for N = 0..3 (Durfee-square totals)
-    table = mm.symmetrized_series(1, 1, 3)
-    path = tmp_path / "m.csv"
-    with open(path, "w") as fh:
-        table.write_csv(fh)
-    assert path.read_text() == "N,value\n0,0\n1,1\n2,2\n3,3\n"
-
-
-def test_table_csv_round(tmp_path):
-    table = mm.CrankRankTable.build("crank", 2)
-    path = tmp_path / "t.csv"
-    with open(path, "w") as fh:
-        table.write_csv(fh)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "kind,n,m,coefficient"
-    assert "crank,1,0,-1" in lines
 
 
 @pytest.mark.parametrize("ell, orders, nmax", [
