@@ -162,7 +162,8 @@ def _cmd_tables(args) -> int:
     ]
     # the factorized tables are small; one kind's dense rows at a time
     _write_rows(args, "kind,n,m,coefficient", (
-        [(table.kind, N, i - N, str(c)) for i, c in enumerate(row) if c]
+        [(table.kind, N, m, str(c))
+         for m, c in zip(range(-N, N + 1), row) if c]
         for table in tables for N, row in enumerate(table.dense_rows())
     ))
     return 0
