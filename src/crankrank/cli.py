@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 usage error, 2 verification/convergence failure,
 
 Each invocation pays only for the command it runs: ``circle`` imports its
 module, and with it numpy, when it starts, and no other command loads
-numpy.  Every tabular command writes its rows through ``_write_rows``:
-CSV piece by piece to stdout or ``--out`` (``tables`` one dense row at a
-time), JSON dumped whole as one list of the same rows.
+numpy.  The tabular commands write one row format: as CSV, piece by
+piece to stdout or ``--out`` (``tables`` one dense row at a time), or as
+JSON, dumped whole as one list of the same rows.
 """
 
 from __future__ import annotations
