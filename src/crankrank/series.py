@@ -88,10 +88,9 @@ class ExactSeries:
         coefficient c_k of q^k is the k-th base-X digit of A*B, read as a
         signed digit.  |c_k| is a sum of at most nmax+1 terms |a_i b_j|,
         hence below 2^(bits(max|a|) + bits(max|b|) + bits(nmax+1)), and
-        ``width`` is chosen one bit larger than that.  Adding X/2 to each of
-        the low nmax+1 digits then makes every digit lie in [0, X): no digit
-        borrows from or carries into its neighbour, and one multiplication
-        gives every truncated coefficient exactly.
+        ``width`` is chosen one bit larger than that.  So every c_k, and
+        every a_i and b_j too, lies in [-X/2, X/2), and one multiplication
+        gives every truncated coefficient exactly (``_unpack``).
         """
         if self.nmax != other.nmax:
             raise ValueError(
@@ -104,13 +103,8 @@ class ExactSeries:
             + count.bit_length() + 1
         )
         width = (bits + 7) // 8
-        size = width * count
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-        digits = ((_pack(a, width) * _pack(b, width) + bias)
-                  & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        return ExactSeries([int.from_bytes(digits[i:i + width], "little") - half
-                            for i in range(0, size, width)])
+        return ExactSeries(
+            _unpack(_pack(a, width) * _pack(b, width), width, count))
 
     def partial_value(self, x: complex) -> complex:
         """Horner evaluation of the truncated polynomial at x."""
@@ -121,18 +115,35 @@ class ExactSeries:
 
 
 def _pack(coeffs, width: int) -> int:
-    """sum_i coeffs[i] * 2^(8*width*i), built from two unsigned byte strings.
+    """sum_i coeffs[i] * X^i with X = 2^(8*width), every |coeffs[i]| < X/2.
 
-    The positive coefficients and the magnitudes of the negative ones are
-    laid out little-endian in slots of ``width`` bytes, which must hold
-    every |coefficient|; the packed value is their difference.
+    Each coefficient plus X/2 is one unsigned little-endian slot of
+    ``width`` bytes; the slots are read as one integer, and the sum of
+    X/2 X^i is taken off again.
     """
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero
-                   for c in coeffs)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
-                   for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    half = 1 << (8 * width - 1)
+    slots = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return (int.from_bytes(slots, "little")
+            - int.from_bytes(half.to_bytes(width, "little") * len(coeffs),
+                             "little"))
+
+
+def _unpack(value: int, width: int, count: int) -> list:
+    """The low ``count`` digits of ``value`` in base X = 2^(8*width), read
+    as signed digits.
+
+    If value = sum_i d_i X^i + (a multiple of X^count) with every
+    |d_i| < X/2, this returns [d_0, ..., d_{count-1}]: adding X/2 to each
+    of those digits puts it in (0, X), so none borrows from or carries
+    into its neighbour, and the low ``count`` digits are read off the
+    bytes and shifted back by X/2.
+    """
+    half = 1 << (8 * width - 1)
+    size = width * count
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    digits = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(digits[i:i + width], "little") - half
+            for i in range(0, size, width)]
 
 
 class BivariateSeries:
@@ -170,6 +181,52 @@ class BivariateSeries:
                 for q0, c in col.items():
                     acc[q0] += w * c
         return ExactSeries(acc) * self.p
+
+    def weighted_sums(self, weights) -> list:
+        """[sum_m w(m) (coefficient series of w^m) for w in weights], each a
+        list of nmax+1 integers, in one pass for every weight at once.
+
+        The weights enter linearly, so they share one numerator and one
+        division: column m gets the packed weight W(m) = sum_j w_j(m) X^j
+        with X = 2^(8*width) (``_pack``), the packed numerator
+        sum_m W(m) columns[m] is formed monomial by monomial, and it is
+        divided by (q;q)_inf once, in place (``_divide_by_euler``).  Python
+        integers are exact and the division is linear with integer
+        coefficients, so the packed quotient is exactly
+        T_N = sum_j T_j(N) X^j, where T_j(N) = sum_{m, q0 <= N} w_j(m)
+        columns[m][q0] p(N - q0) is the wanted sum; the intermediate
+        values need no bound.
+
+        Only the slots must fit.  p is positive and nondecreasing, so
+        p(N - q0) <= p(nmax), and whatever the columns,
+        |T_j(N)| <= p(nmax) max_m |w_j(m)| sum_{m, q0} |columns[m][q0]|,
+        which is below 2^(bits(p(nmax)) + bits(max |w|) + bits(sum |c|)),
+        max |w| taken over every weight and column.  ``width`` is chosen
+        one bit larger than that, so each T_j(N), and each w_j(m) too,
+        lies in [-X/2, X/2) and is read back exactly (``_unpack``).
+        """
+        weights = list(weights)
+        count = len(weights)
+        if not count:
+            return []
+        table = []  # (w_j(m) for every j, column m)
+        top = total = 0
+        for m, col in self.columns.items():
+            w = [weight(m) for weight in weights]
+            table.append((w, col))
+            top = max(top, *map(abs, w))
+            total += sum(map(abs, col.values()))
+        bits = (self.p.coeffs[-1].bit_length() + top.bit_length()
+                + total.bit_length() + 1)
+        width = (bits + 7) // 8
+        acc = [0] * (self.nmax + 1)
+        for w, col in table:
+            packed = _pack(w, width)
+            for q0, c in col.items():
+                acc[q0] += c * packed
+        _divide_by_euler(acc)
+        return [list(sums) for sums in
+                zip(*[_unpack(t, width, count) for t in acc])]
 
     def dense_row(self, n: int) -> list:
         """The q^n coefficient as a dense list of 2n+1 integers, index m+n."""
@@ -264,6 +321,36 @@ def check_quotient_family(orders, nmax: int) -> None:
     _refuse_over_limit(
         f"a quotient family of {len(orders)} orders up to r={r_max} to "
         f"nmax={nmax}", len(orders) * (nmax + 1) * slot)
+
+
+def _divide_by_euler(t: list) -> list:
+    """Divide the truncated series ``t`` by (q;q)_inf in place; return t.
+
+    By Euler's pentagonal theorem (q;q)_inf = sum_{k in Z} (-1)^k
+    q^{k(3k-1)/2}, so the quotient T = t / (q;q)_inf satisfies
+    T_n = t_n - sum_{k>=1} (-1)^k [T_{n-k(3k-1)/2} + T_{n-k(3k+1)/2}],
+    terms of negative index left out.  T_n needs only earlier T's, so t
+    is overwritten in increasing n: O(nmax^(3/2)) additions of whatever
+    integers t holds.
+    """
+    size = len(t)
+    gaps = []  # (k(3k-1)/2 and k(3k+1)/2, whether k is odd), increasing
+    k = 1
+    while k * (3 * k - 1) // 2 < size:
+        gaps += [(k * (3 * k - 1) // 2, k % 2 == 1),
+                 (k * (3 * k + 1) // 2, k % 2 == 1)]
+        k += 1
+    for n in range(1, size):
+        total = t[n]
+        for g, odd in gaps:
+            if g > n:
+                break
+            if odd:
+                total += t[n - g]
+            else:
+                total -= t[n - g]
+        t[n] = total
+    return t
 
 
 def partition_series(nmax: int) -> ExactSeries:

@@ -1,17 +1,21 @@
-"""The factorized table route against the dense loops it replaced.
+"""The factorized table route against the dense loops and the products it
+replaced.
 
 ``CrankRankTable`` keeps the crank/rank histogram as sparse numerator
-columns times p(q) and forms every sum over m as one product.  The
-references below are the dense route as it stood before: every numerator
-monomial spread over a dense (nmax+1)-row histogram, and each moment a
-per-row loop over m.  They share only ``numerator_entries`` and
-``partition_series`` with the code under test.
+columns times p(q) and forms every sum over m of one kind in one packed
+division by (q;q)_inf (``BivariateSeries.weighted_sums``).  The references
+below are the routes as they stood before: the dense one, every numerator
+monomial spread over a dense (nmax+1)-row histogram with each moment a
+per-row loop over m, which shares only ``numerator_entries`` and
+``partition_series`` with the code under test; and the per-weight one,
+each weighted numerator multiplied by p in its own Kronecker product.
 """
 
+import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crankrank import cli
@@ -76,6 +80,73 @@ def symmetrized_reference(rows, r):
     off = (r - 1) // 2
     return [sum(comb(m + off, r) * row[m + N] for m in range(1, N + 1))
             for N, row in enumerate(rows)]
+
+
+def product_reference(biv, weight):
+    """sum_m weight(m) (coefficient series of w^m) by one Kronecker product:
+    the weighted numerator, formed monomial by monomial, times p."""
+    acc = [0] * (biv.nmax + 1)
+    for m, col in biv.columns.items():
+        for q0, c in col.items():
+            acc[q0] += weight(m) * c
+    return (qs.ExactSeries(acc) * biv.p).coeffs
+
+
+SLOT_MAX = 2**200
+# every column index m of a table or column set below lies in this span
+SPAN = range(-70, 71)
+
+# a weight function as plain data: (form, bits, seed, constant)
+weight_specs = st.tuples(st.sampled_from(["random", "extreme", "constant"]),
+                         st.integers(0, 200), st.integers(0, 2**32 - 1),
+                         st.sampled_from([SLOT_MAX, -SLOT_MAX, 1, -1, 0]))
+
+
+def weight_function(spec):
+    """m -> integer: random of both signs below 2^bits, +-2^200 with random
+    signs, or one constant; every value at most 2^200 in size."""
+    form, bits, seed, constant = spec
+    rng = random.Random(seed)
+    if form == "random":
+        values = [rng.randint(-(1 << bits), 1 << bits) for _ in SPAN]
+    elif form == "extreme":
+        values = [rng.choice((SLOT_MAX, -SLOT_MAX)) for _ in SPAN]
+    else:
+        values = [constant] * len(SPAN)
+    return dict(zip(SPAN, values)).__getitem__
+
+
+# neighbouring slots at the bound with opposite signs, so each borrows
+ALTERNATING = [("constant", 0, 0, (-1) ** j * SLOT_MAX) for j in range(25)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["crank", "rank"]), nmax=st.integers(0, 60),
+       specs=st.lists(weight_specs, min_size=1, max_size=25))
+@example(kind="crank", nmax=60, specs=ALTERNATING)
+@example(kind="rank", nmax=1, specs=ALTERNATING[1:])
+def test_weighted_sums_equal_per_weight_products(kind, nmax, specs):
+    biv = qs.bivariate_series(kind, nmax)
+    weights = [weight_function(spec) for spec in specs]
+    assert biv.weighted_sums(weights) == [
+        product_reference(biv, weight) for weight in weights]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), nmax=st.integers(0, 40),
+       specs=st.lists(weight_specs, min_size=1, max_size=8))
+def test_weighted_sums_on_arbitrary_columns(data, nmax, specs):
+    # signed columns that are no crank/rank numerator, with coefficients far
+    # beyond +-1, so only the generic slot bound keeps the slots apart
+    entries = data.draw(st.lists(st.tuples(
+        st.integers(0, nmax), st.integers(SPAN[0], SPAN[-1]),
+        st.integers(-2**80, 2**80) | st.sampled_from([1, -1])), max_size=60))
+    biv = qs.BivariateSeries(qs.numerator_columns(entries),
+                             qs.partition_series(nmax))
+    weights = [weight_function(spec) for spec in specs]
+    assert biv.weighted_sums(weights) == [
+        product_reference(biv, weight) for weight in weights]
+    assert biv.weighted_sums([]) == []
 
 
 @settings(max_examples=40, deadline=None)
