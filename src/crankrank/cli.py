@@ -175,24 +175,21 @@ def _cmd_moments(args) -> int:
         raise _UsageError("moment orders must be >= 1")
     kinds = {ell: moments.kind_for_ell(ell)
              for ell in sorted(set(args.ell or [1, 3]))}
-    values = {}  # (r, ell) -> values; one table or one family per side
+    families = {}  # ell -> {r: values}; one table or one series family each
     for ell, kind in kinds.items():
         if args.variant == "full":
             table = moments.CrankRankTable.build(kind, args.nmax)
-            for r in r_list:
-                values[r, ell] = table.full_moments(r)
+            families[ell] = table.full_moments(r_list)
         elif args.variant == "symmetrized":
-            sym = moments.symmetrized_family(ell, r_list, args.nmax)
-            for r in r_list:
-                values[r, ell] = sym[r]
+            families[ell] = moments.symmetrized_family(ell, r_list, args.nmax)
         else:
             sym = moments.symmetrized_family(ell, range(1, r_list[-1] + 1),
                                              args.nmax)
-            for r in r_list:
-                values[r, ell] = moments.positive_from_symmetrized(sym, r)
+            families[ell] = {r: moments.positive_from_symmetrized(sym, r)
+                             for r in r_list}
     _write_rows(args, "kind,variant,r,ell,N,value", (
         [(kind, args.variant, r, ell, N, str(v))
-         for N, v in enumerate(values[r, ell])]
+         for N, v in enumerate(families[ell][r])]
         for r in r_list for ell, kind in kinds.items()
     ))
     return 0

@@ -5,10 +5,11 @@ Two independent routes to the same numbers live here:
 * the *table route*: the histogram M(m, N) of crank or rank values,
   kept as the sparse numerator columns of the bivariate generating
   function times p(q) (``CrankRankTable``), with moments read off it as
-  weighted sums over m.  Each such sum, for every N at once, is the
-  weighted numerator times p(q): one product.  The weights are the
-  table's own (m^r, m^{2k}, C(m + floor((r-1)/2), r)), never the
-  series route's basis change;
+  weighted sums over m.  Every sum of one bulk accessor, for every N and
+  every order at once, comes from one packed division of the numerator
+  by (q;q)_inf (``series.BivariateSeries.weighted_sums``), with no
+  product.  The weights are the table's own (m^r, m^{2k},
+  C(m + floor((r-1)/2), r)), never the series route's basis change;
 * the *series route*: read symmetrized positive moments directly as the
   integer coefficients of A_{ell,r}(q) / (q;q)_inf, A being
   ``series.appell_sum`` (ell=1 for crank, ell=3 for rank), and recover
@@ -20,7 +21,9 @@ Two independent routes to the same numbers live here:
   and ``spt_ospt`` are single-family calls into them.
 
 The two routes meeting exactly, for every N and r, is one of the main
-verification targets of the package.
+verification targets of the package.  They share p(q) and nothing else:
+the table route divides by (q;q)_inf with the pentagonal recurrence, and
+the series route multiplies by p(q) (``ExactSeries.__mul__``).
 
 Conventions: all moment computations use the raw generating-function
 histogram, including the anomalous crank column at N=1, which is the
@@ -50,6 +53,11 @@ def _positive_power(r: int):
     return lambda m: m ** r if m >= 1 else 0
 
 
+def _full_power(r: int):
+    """The weight m^r on every m."""
+    return lambda m: m ** r
+
+
 def _binomial(r: int):
     """The weight C(m + floor((r-1)/2), r) on m >= 1, 0 elsewhere."""
     off = (r - 1) // 2
@@ -60,11 +68,12 @@ class CrankRankTable(qs.BivariateSeries):
     """Exact histogram counts M(m, N) of crank or rank over partitions of N.
 
     The table is kept factorized (see ``series.BivariateSeries``): the
-    sparse numerator columns of the generating function and p(N).  Every
-    sum over m with weight w(m) is then one product of the weighted
-    numerator with p, so no bulk moment unpacks the histogram.  Dense
-    rows, of length 2N+1 with index m+N, are built only for row lookups
-    (``rows``, ``distribution``, ``count``) and for export by the
+    sparse numerator columns of the generating function and p(N).  Each
+    bulk accessor makes one ``weighted_sums`` call, which forms the sums
+    over m for all of its weights in one packed division by (q;q)_inf, so
+    no moment unpacks the histogram; the single-N accessors index that
+    output.  Dense rows, of length 2N+1 with index m+N, are built only
+    for row lookups (``rows``, ``distribution``) and for export by the
     ``tables`` command.
     Columns m and -m hold separately computed monomials, so row symmetry
     is a genuine check rather than a storage artifact.
@@ -113,78 +122,76 @@ class CrankRankTable(qs.BivariateSeries):
         if not 0 <= N <= self.nmax:
             raise ValueError(f"N={N} outside table range 0..{self.nmax}")
 
-    def count(self, m: int, N: int) -> int:
-        """Number of partitions of N with statistic value m."""
-        self._check_row(N)
-        if abs(m) > N:
-            return 0
-        return self.dense_row(N)[m + N]
-
     def distribution(self, N: int) -> dict:
         """Nonzero histogram entries of row N as a map m -> count."""
         self._check_row(N)
         return self.row(N)
 
-    def _moments(self, weight) -> list:
-        """sum_m weight(m) counts[N][m] for every N."""
+    def weighted_sums(self, weights) -> list:
+        """``series.BivariateSeries.weighted_sums``, refused on the
+        combinatorial convention: every table moment passes through here."""
         if self.convention != GENERATING_FUNCTION:
             raise ValueError(
                 "moments are defined on the generating-function convention; "
                 "rebuild the table without the combinatorial patch"
             )
-        return self.weighted(weight).coeffs
+        return super().weighted_sums(weights)
 
     def positive_moment(self, r: int, N: int) -> int:
         """sum_{m>=1} m^r counts[N][m]; r=0 gives the positive-value count."""
         if r < 0:
             raise ValueError("r must be >= 0")
         self._check_row(N)
-        return self._moments(_positive_power(r))[N]
+        return self.weighted_sums([_positive_power(r)])[0][N]
 
-    def full_moments(self, r: int) -> list:
-        """sum over all m of m^r counts[N][m], both signs included, for every N."""
-        if r < 0:
+    def full_moments(self, orders) -> dict:
+        """{r: sum over all m of m^r counts[N][m] for every N} for each r in
+        ``orders``, both signs included, in one pass."""
+        orders = list(orders)
+        if any(r < 0 for r in orders):
             raise ValueError("r must be >= 0")
-        return self._moments(lambda m: m ** r)
+        return dict(zip(orders, self.weighted_sums(map(_full_power, orders))))
 
     def full_moment(self, r: int, N: int) -> int:
         """sum over all m of m^r counts[N][m], both signs included."""
         self._check_row(N)
-        return self.full_moments(r)[N]
+        return self.full_moments([r])[r][N]
 
-    def symmetrized_moments(self, r: int) -> list:
-        """sum_{m>=1} C(m + floor((r-1)/2), r) counts[N][m] for every N.
+    def symmetrized_moments(self, orders) -> dict:
+        """{r: sum_{m>=1} C(m + floor((r-1)/2), r) counts[N][m] for every N}
+        for each r in ``orders``, in one pass.
 
         This is the direct binomial-weighted route; it must coincide with
-        the coefficients of ``symmetrized_family``.
+        ``symmetrized_family``, which has the same layout.
         """
-        if r < 1:
+        orders = list(orders)
+        if any(r < 1 for r in orders):
             raise ValueError("r must be >= 1")
-        return self._moments(_binomial(r))
+        return dict(zip(orders, self.weighted_sums(map(_binomial, orders))))
 
     def symmetrized_moment(self, r: int, N: int) -> int:
         """sum_{m>=1} C(m + floor((r-1)/2), r) counts[N][m]."""
         self._check_row(N)
-        return self.symmetrized_moments(r)[N]
+        return self.symmetrized_moments([r])[r][N]
 
     def positive_moments_upto(self, r_max: int):
-        """All positive moments r=0..r_max for every N, one product per order.
+        """All positive moments r=0..r_max for every N, in one pass.
 
         Returns a list indexed by N of lists indexed by r.
         """
-        orders = [self._moments(_positive_power(r)) for r in range(r_max + 1)]
-        return [list(at_N) for at_N in zip(*orders)]
+        sums = self.weighted_sums(map(_positive_power, range(r_max + 1)))
+        return [list(at_N) for at_N in zip(*sums)]
 
     def full_even_moments_upto(self, k_max: int):
-        """Full moments of orders 2, 4, ..., 2*k_max for every N, one product each.
+        """Full moments of orders 2, 4, ..., 2*k_max for every N, in one pass.
 
         Weighs m^{2k} on every column m <= -1 and m >= 1 by itself, so this
         does not assume the symmetry it is typically used to cross-check.
         Returns a list indexed by N of lists indexed by k (entry 0 unused).
         """
-        orders = [[0] * (self.nmax + 1)]
-        orders += [self.full_moments(2 * k) for k in range(1, k_max + 1)]
-        return [list(at_N) for at_N in zip(*orders)]
+        full = self.full_moments(range(2, 2 * k_max + 1, 2))
+        sums = [[0] * (self.nmax + 1), *full.values()]
+        return [list(at_N) for at_N in zip(*sums)]
 
 
 def kind_for_ell(ell: int) -> str:

@@ -3,13 +3,15 @@
 This module builds the q-expansions everything else consumes:
 
 * ``partition_series`` -- 1/(q;q)_inf, whose coefficient of q^N is the
-  partition count p(N), via the pentagonal-number recurrence.
+  partition count p(N), by the pentagonal-number recurrence: the one
+  in-place division by (q;q)_inf (``_divide_by_euler``) applied to 1.
 * ``euler_function`` -- the sparse pentagonal expansion of (q;q)_inf.
 * ``bivariate_series`` -- the two-variable crank and rank generating
   functions, kept factorized (``BivariateSeries``): the sparse numerator
   (q;q)_inf * F(w, q), one column per power of the statistic marker w,
-  together with p(N).  A sum over the powers of w with any weight is one
-  product; dense Laurent rows are unpacked only on request.
+  together with p(N).  Sums over the powers of w, for any number of
+  weights, are one packed division of the numerator by (q;q)_inf; dense
+  Laurent rows are unpacked only on request.
 * ``appell_sum`` -- the one-sided Appell-type sums
   sum_{n>=1} (-1)^{n+1} q^{l*n^2/2 + (r/2+rho)n} / (1-q^n)^r,
   whose quotients by (q;q)_inf generate symmetrized positive moments.
@@ -23,7 +25,9 @@ Kronecker substitution: each operand is packed into a single integer with
 one slot per coefficient, and each slot is wide enough (bits(max|a|) +
 bits(max|b|) + bits(nmax+1) + 1 bits) that the signed coefficient sums of
 the product never spill into a neighbouring slot, so every coefficient read
-back is exact.  Complex floating-point evaluation of the same functions,
+back is exact.  The same packing across weights instead of powers of q
+lets ``BivariateSeries.weighted_sums`` carry every weighted sum of a table
+through one division.  Complex floating-point evaluation of the same functions,
 with certified tail bounds, lives in the ``*_value`` functions;
 those sum the defining series directly and never go through the truncated
 integer expansions, so the two routes can be played against each other.
@@ -153,9 +157,10 @@ class BivariateSeries:
     a map q-exponent -> nonzero integer in increasing q-exponent order;
     ``p`` is 1/(q;q)_inf (``partition_series``) to the same order.  The
     coefficient of w^m q^n of the function itself is therefore
-    sum_{q0 <= n} columns[m][q0] * p(n - q0).  Sums over m weighted by any
-    w(m) are one product (``weighted``); dense Laurent rows are unpacked
-    only on request (``dense_row``, ``dense_rows``).
+    sum_{q0 <= n} columns[m][q0] * p(n - q0).  Sums over m weighted by
+    any number of weights w(m) are one packed division by (q;q)_inf
+    (``weighted_sums``); dense Laurent rows are unpacked only on request
+    (``dense_row``, ``dense_rows``).
     """
 
     __slots__ = ("columns", "p")
@@ -167,20 +172,6 @@ class BivariateSeries:
     @property
     def nmax(self) -> int:
         return self.p.nmax
-
-    def weighted(self, weight) -> ExactSeries:
-        """sum_m weight(m) (coefficient series of w^m), as one product with p.
-
-        The weighted numerator sum_m weight(m) columns[m] is formed first,
-        monomial by monomial, then multiplied by p once.
-        """
-        acc = [0] * (self.nmax + 1)
-        for m, col in self.columns.items():
-            w = weight(m)
-            if w:
-                for q0, c in col.items():
-                    acc[q0] += w * c
-        return ExactSeries(acc) * self.p
 
     def weighted_sums(self, weights) -> list:
         """[sum_m w(m) (coefficient series of w^m) for w in weights], each a
@@ -265,7 +256,7 @@ class BivariateSeries:
 
     def collapse_marker(self) -> ExactSeries:
         """Set w = 1, i.e. sum each Laurent row."""
-        return self.weighted(lambda m: 1)
+        return ExactSeries(self.weighted_sums([lambda m: 1])[0])
 
     def first_asymmetric_row(self) -> int | None:
         """Smallest n whose row is not invariant under m -> -m, or None.
@@ -356,30 +347,14 @@ def _divide_by_euler(t: list) -> list:
 def partition_series(nmax: int) -> ExactSeries:
     """Expand 1/(q;q)_inf through q^nmax; coefficient of q^N is p(N).
 
-    Uses the pentagonal-number recurrence
-    p(N) = sum_{k>=1} (-1)^{k+1} [p(N-k(3k-1)/2) + p(N-k(3k+1)/2)],
-    which needs O(nmax^(3/2)) big-integer additions instead of the
+    The pentagonal-number recurrence of ``_divide_by_euler``, applied to
+    the series 1: p(N) = sum_{k>=1} (-1)^{k+1} [p(N-k(3k-1)/2) +
+    p(N-k(3k+1)/2)], O(nmax^(3/2)) big-integer additions instead of the
     O(nmax^2) of repeated product inversion.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    p = [0] * (nmax + 1)
-    p[0] = 1
-    for n in range(1, nmax + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
-                break
-            term = p[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                term += p[n - g2]
-            total += term if k % 2 == 1 else -term
-            k += 1
-        p[n] = total
-    return ExactSeries(p)
+    return ExactSeries(_divide_by_euler([1] + [0] * nmax))
 
 
 def euler_function(nmax: int) -> ExactSeries:

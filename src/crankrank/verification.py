@@ -259,14 +259,18 @@ def check_ospt_numerator(ctx: SuiteContext) -> list:
 
 def check_symmetrized(ctx: SuiteContext) -> list:
     """Series coefficients equal binomial-weighted table sums."""
+    orders = range(1, SYMMETRIZED_ORDER_MAX + 1)
+    # every order of one kind in one pass over its table
+    sums = {kind: table.symmetrized_moments(orders)
+            for kind, table, _, _ in _sides(ctx)}
     return [_verdict(
         "symmetrized-series-vs-table",
         f"r <= {SYMMETRIZED_ORDER_MAX}, N <= {ctx.nmax}, both kinds",
         "binomial sum != series coefficient",
         ({"kind": kind, "r": r, "N": N, "table": t, "series": s}
-         for r in range(1, SYMMETRIZED_ORDER_MAX + 1)
-         for kind, table, _, sym in _sides(ctx)
-         for N, (t, s) in enumerate(zip(table.symmetrized_moments(r), sym[r]))
+         for r in orders
+         for kind, _, _, sym in _sides(ctx)
+         for N, (t, s) in enumerate(zip(sums[kind][r], sym[r]))
          if t != s),
     )]
 

@@ -75,9 +75,17 @@ class TestMoments:
                 assert bulk[N][r] == small_tables["crank"].positive_moment(r, N)
 
     def test_combinatorial_moments_rejected(self):
+        # every table moment, bulk or single-N, is refused on this convention
         table = mm.CrankRankTable.build("crank", 4, mm.COMBINATORIAL)
-        with pytest.raises(ValueError, match="generating-function"):
-            table.positive_moment(1, 2)
+        for moments in (lambda: table.positive_moment(1, 2),
+                        lambda: table.positive_moments_upto(3),
+                        lambda: table.full_even_moments_upto(2),
+                        lambda: table.full_moments([2]),
+                        lambda: table.full_moment(2, 3),
+                        lambda: table.symmetrized_moments([1, 2]),
+                        lambda: table.symmetrized_moment(1, 3)):
+            with pytest.raises(ValueError, match="generating-function"):
+                moments()
 
 
 class TestSymmetrized:
