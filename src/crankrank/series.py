@@ -602,7 +602,10 @@ def _alternating_sum(terms, tail, tol, max_terms, name) -> SeriesValue:
     Each term is added in place and dropped before the next is made, so on
     an array no more than one term is live at a time.  ``tail(n)`` bounds
     the remainder after n terms at every point (inf while none holds); the
-    sum stops once it is <= tol * min |partial sum|."""
+    sum stops once it is <= tol * min |partial sum|.  That minimum is at
+    most the modulus of the first partial sum, so while the bound exceeds
+    tol times that one modulus the rule cannot hold, and the reduction over
+    every point is skipped."""
     import numpy as np
     acc = 0j
     best = math.inf
@@ -613,6 +616,9 @@ def _alternating_sum(terms, tail, tol, max_terms, name) -> SeriesValue:
             acc -= next(terms)
         bound = tail(n)
         best = min(best, bound)
+        lead = acc.flat[0] if isinstance(acc, np.ndarray) else acc
+        if bound > tol * max(abs(lead), 1e-300):
+            continue
         if bound <= tol * max(float(np.abs(acc).min()), 1e-300):
             return SeriesValue(acc, bound, n)
     raise ConvergenceError(f"{name} did not converge in {max_terms} terms",

@@ -336,6 +336,21 @@ class TestAgainstExpForm:
             assert type(res.value) is complex
 
 
+def every_term_stopping_sum(terms, tail, tol, max_terms, name):
+    """``series._alternating_sum`` taking min |partial sum| over every point
+    after every term."""
+    acc = 0j
+    for n in range(1, max_terms + 1):
+        if n % 2 == 1:
+            acc += next(terms)
+        else:
+            acc -= next(terms)
+        bound = tail(n)
+        if bound <= tol * max(float(np.abs(acc).min()), 1e-300):
+            return qs.SeriesValue(acc, bound, n)
+    raise ConvergenceError(f"{name} did not converge in {max_terms} terms")
+
+
 class TestArrayEvaluation:
     """The evaluators on numpy arrays agree with their scalar results."""
 
@@ -374,6 +389,21 @@ class TestArrayEvaluation:
         for z, got in zip(q, res.value):
             point = qs.ospt_numerator_value(complex(z))
             assert abs(got - point.value) <= point.tail_bound + rounding
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=disk_points(), ell=st.sampled_from((1, 3)), r=st.integers(1, 6),
+           tol=st.sampled_from((1e-6, 1e-12, 1e-15)))
+    def test_stopping_rule_unchanged(self, q, ell, r, tol):
+        # the evaluators against the same sums stopped by the rule applied
+        # after every term, with no reduction skipped
+        got = [qs.appell_sum_value(ell, r, q, tol), qs.ospt_numerator_value(q, tol)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qs, "_alternating_sum", every_term_stopping_sum)
+            want = [qs.appell_sum_value(ell, r, q, tol),
+                    qs.ospt_numerator_value(q, tol)]
+        for a, b in zip(got, want):
+            assert (a.terms, a.tail_bound) == (b.terms, b.tail_bound)
+            assert np.array_equal(a.value, b.value)
 
     def test_two_dimensional_shape(self):
         q = np.full((2, 3), 0.3 + 0.4j)
