@@ -21,9 +21,11 @@ Two independent routes to the same numbers live here:
   and ``spt_ospt`` are single-family calls into them.
 
 The two routes meeting exactly, for every N and r, is one of the main
-verification targets of the package.  They share p(q) and nothing else:
-the table route divides by (q;q)_inf with the pentagonal recurrence, and
-the series route multiplies by p(q) (``ExactSeries.__mul__``).
+verification targets of the package.  Both rest on the pentagonal
+recurrence: the table route divides by (q;q)_inf with it directly, and
+the series route multiplies by p(q), the recurrence applied to 1, in a
+Kronecker product (``ExactSeries.__mul__``).  The identity suite checks
+the recurrence against the independently written ``euler_function``.
 
 Conventions: all moment computations use the raw generating-function
 histogram, including the anomalous crank column at N=1, which is the
