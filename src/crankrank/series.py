@@ -27,8 +27,8 @@ bits(max|b|) + bits(nmax+1) + 1 bits) that the signed coefficient sums of
 the product never spill into a neighbouring slot, so every coefficient read
 back is exact.  The same packing across weights instead of powers of q
 lets ``BivariateSeries.weighted_sums`` carry every weighted sum of a table
-through one division.  Complex floating-point evaluation of the same functions,
-with certified tail bounds, lives in the ``*_value`` functions;
+through one division.  Complex floating-point evaluation of the same
+functions, with certified tail bounds, lives in the ``*_value`` functions;
 those sum the defining series directly and never go through the truncated
 integer expansions, so the two routes can be played against each other.
 Every power of q they need is built by multiplication, as a running
@@ -190,11 +190,11 @@ class BivariateSeries:
 
         Only the slots must fit.  p is positive and nondecreasing, so
         p(N - q0) <= p(nmax), and whatever the columns,
-        |T_j(N)| <= p(nmax) max_m |w_j(m)| sum_{m, q0} |columns[m][q0]|,
-        which is below 2^(bits(p(nmax)) + bits(max |w|) + bits(sum |c|)),
-        max |w| taken over every weight and column.  ``width`` is chosen
-        one bit larger than that, so each T_j(N), and each w_j(m) too,
-        lies in [-X/2, X/2) and is read back exactly (``_unpack``).
+        |T_j(N)| <= p(nmax) * max |w| * sum_{m, q0} |columns[m][q0]|, with
+        max |w| taken over every weight and column; that is below
+        2^(bits(p(nmax)) + bits(max |w|) + bits(sum |c|)).  ``width`` is
+        chosen one bit larger than that, so each T_j(N), and each w_j(m)
+        too, lies in [-X/2, X/2) and is read back exactly (``_unpack``).
         """
         weights = list(weights)
         count = len(weights)
