@@ -211,13 +211,15 @@ class BivariateSeries:
                 + total.bit_length() + 1)
         width = (bits + 7) // 8
         acc = [0] * (self.nmax + 1)
-        for w, col in table:
+        while table:  # each column's weights are dropped once packed
+            w, col = table.pop()
             packed = _pack(w, width)
             for q0, c in col.items():
                 acc[q0] += c * packed
         _divide_by_euler(acc)
-        return [list(sums) for sums in
-                zip(*[_unpack(t, width, count) for t in acc])]
+        for N, t in enumerate(acc):  # each packed T_N is dropped once read
+            acc[N] = _unpack(t, width, count)
+        return [list(sums) for sums in zip(*acc)]
 
     def dense_row(self, n: int) -> list:
         """The q^n coefficient as a dense list of 2n+1 integers, index m+n."""
