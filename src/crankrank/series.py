@@ -44,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -92,9 +93,10 @@ class ExactSeries:
         coefficient c_k of q^k is the k-th base-X digit of A*B, read as a
         signed digit.  |c_k| is a sum of at most nmax+1 terms |a_i b_j|,
         hence below 2^(bits(max|a|) + bits(max|b|) + bits(nmax+1)), and
-        ``width`` is chosen one bit larger than that.  So every c_k, and
-        every a_i and b_j too, lies in [-X/2, X/2), and one multiplication
-        gives every truncated coefficient exactly (``_unpack``).
+        ``width`` is chosen one bit larger than that.  Adding X/2 to each of
+        the low nmax+1 digits then makes every digit lie in [0, X): no digit
+        borrows from or carries into its neighbour, and one multiplication
+        gives every truncated coefficient exactly.
         """
         if self.nmax != other.nmax:
             raise ValueError(
@@ -107,8 +109,13 @@ class ExactSeries:
             + count.bit_length() + 1
         )
         width = (bits + 7) // 8
-        return ExactSeries(
-            _unpack(_pack(a, width) * _pack(b, width), width, count))
+        size = width * count
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+        digits = ((_pack(a, width) * _pack(b, width) + bias)
+                  & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        return ExactSeries([int.from_bytes(digits[i:i + width], "little") - half
+                            for i in range(0, size, width)])
 
     def partial_value(self, x: complex) -> complex:
         """Horner evaluation of the truncated polynomial at x."""
@@ -119,35 +126,18 @@ class ExactSeries:
 
 
 def _pack(coeffs, width: int) -> int:
-    """sum_i coeffs[i] * X^i with X = 2^(8*width), every |coeffs[i]| < X/2.
+    """sum_i coeffs[i] * 2^(8*width*i), built from two unsigned byte strings.
 
-    Each coefficient plus X/2 is one unsigned little-endian slot of
-    ``width`` bytes; the slots are read as one integer, and the sum of
-    X/2 X^i is taken off again.
+    The positive coefficients and the magnitudes of the negative ones are
+    laid out little-endian in slots of ``width`` bytes, which must hold
+    every |coefficient|; the packed value is their difference.
     """
-    half = 1 << (8 * width - 1)
-    slots = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return (int.from_bytes(slots, "little")
-            - int.from_bytes(half.to_bytes(width, "little") * len(coeffs),
-                             "little"))
-
-
-def _unpack(value: int, width: int, count: int) -> list:
-    """The low ``count`` digits of ``value`` in base X = 2^(8*width), read
-    as signed digits.
-
-    If value = sum_i d_i X^i + (a multiple of X^count) with every
-    |d_i| < X/2, this returns [d_0, ..., d_{count-1}]: adding X/2 to each
-    of those digits puts it in (0, X), so none borrows from or carries
-    into its neighbour, and the low ``count`` digits are read off the
-    bytes and shifted back by X/2.
-    """
-    half = 1 << (8 * width - 1)
-    size = width * count
-    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    digits = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    return [int.from_bytes(digits[i:i + width], "little") - half
-            for i in range(0, size, width)]
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero
+                   for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
+                   for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class BivariateSeries:
@@ -179,46 +169,54 @@ class BivariateSeries:
 
         The weights enter linearly, so they share one numerator and one
         division: column m gets the packed weight W(m) = sum_j w_j(m) X^j
-        with X = 2^(8*width) (``_pack``), the packed numerator
-        sum_m W(m) columns[m] is formed monomial by monomial, and it is
-        divided by (q;q)_inf once, in place (``_divide_by_euler``).  Python
-        integers are exact and the division is linear with integer
-        coefficients, so the packed quotient is exactly
-        T_N = sum_j T_j(N) X^j, where T_j(N) = sum_{m, q0 <= N} w_j(m)
-        columns[m][q0] p(N - q0) is the wanted sum; the intermediate
-        values need no bound.
+        with X = 2^B, the packed numerator sum_m W(m) columns[m] is formed
+        monomial by monomial, and it is divided by (q;q)_inf once, in place
+        (``_divide_by_euler``).  Python integers are exact and the division
+        is linear with integer coefficients, so the packed quotient is
+        exactly T_N = sum_j T_j(N) X^j, where T_j(N) = sum_{m, q0 <= N}
+        w_j(m) columns[m][q0] p(N - q0) is the wanted sum; the
+        intermediate values need no bound.
 
         Only the slots must fit.  p is positive and nondecreasing, so
         p(N - q0) <= p(nmax), and whatever the columns,
         |T_j(N)| <= p(nmax) * max |w| * sum_{m, q0} |columns[m][q0]|, with
         max |w| taken over every weight and column; that is below
-        2^(bits(p(nmax)) + bits(max |w|) + bits(sum |c|)).  ``width`` is
-        chosen one bit larger than that, so each T_j(N), and each w_j(m)
-        too, lies in [-X/2, X/2) and is read back exactly (``_unpack``).
+        2^(bits(p(nmax)) + bits(max |w|) + bits(sum |c|)), and B is one
+        bit more, so |T_j(N)| < X/2.  Adding X/2 to every slot then puts
+        each digit of T_N in (0, X): none borrows from its neighbour, and
+        each is read back as T_j(N) + X/2.  With a few slots per integer,
+        shifts pack and unpack faster than the byte strings that
+        ``ExactSeries.__mul__`` uses for its nmax+1 slots, where repeated
+        shifts would take quadratic time.
         """
         weights = list(weights)
         count = len(weights)
         if not count:
             return []
-        table = []  # (w_j(m) for every j, column m)
-        top = total = 0
-        for m, col in self.columns.items():
-            w = [weight(m) for weight in weights]
-            table.append((w, col))
-            top = max(top, *map(abs, w))
-            total += sum(map(abs, col.values()))
+        table = [([weight(m) for weight in weights], col)
+                 for m, col in self.columns.items()]
+        top = max(map(abs, chain.from_iterable([w for w, _ in table])),
+                  default=0)
+        total = sum(map(abs, chain.from_iterable(
+            [col.values() for col in self.columns.values()])))
         bits = (self.p.coeffs[-1].bit_length() + top.bit_length()
                 + total.bit_length() + 1)
-        width = (bits + 7) // 8
         acc = [0] * (self.nmax + 1)
         while table:  # each column's weights are dropped once packed
             w, col = table.pop()
-            packed = _pack(w, width)
+            packed = 0
+            for x in reversed(w):
+                packed = (packed << bits) + x
             for q0, c in col.items():
                 acc[q0] += c * packed
         _divide_by_euler(acc)
-        for N, t in enumerate(acc):  # each packed T_N is dropped once read
-            acc[N] = _unpack(t, width, count)
+        half = 1 << (bits - 1)
+        mask = (1 << bits) - 1
+        shifts = range(0, count * bits, bits)
+        bias = sum(half << s for s in shifts)
+        for N, t in enumerate(acc):  # each packed sum is dropped once read
+            t += bias
+            acc[N] = [((t >> s) & mask) - half for s in shifts]
         return [list(sums) for sums in zip(*acc)]
 
     def dense_row(self, n: int) -> list:

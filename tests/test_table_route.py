@@ -149,6 +149,18 @@ def test_weighted_sums_on_arbitrary_columns(data, nmax, specs):
     assert biv.weighted_sums([]) == []
 
 
+def test_weighted_sums_at_the_slot_bound():
+    # one column 3 q^0 and p(3) = 3: T_j(3) = 9 w_j attains the bound
+    # p(nmax) max|w| sum|c|, and 9 (2^200 - 1) needs all but 3 bits of the
+    # slot width bits(3) + bits(2^200 - 1) + bits(3) + 1 = 205
+    biv = qs.BivariateSeries({0: {0: 3}}, qs.partition_series(3))
+    top = 2**200 - 1
+    weights = [(lambda m, w=w: w) for w in (top, -top, -top, top, 1, -top)]
+    sums = biv.weighted_sums(weights)
+    assert [s[3] for s in sums] == [9 * w(0) for w in weights]
+    assert sums == [product_reference(biv, weight) for weight in weights]
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["crank", "rank"]), nmax=st.integers(0, 60))
 def test_factorized_table_matches_dense_reference(kind, nmax):
