@@ -151,8 +151,8 @@ def test_weighted_sums_on_arbitrary_columns(data, nmax, specs):
 
 def test_weighted_sums_at_the_slot_bound():
     # one column 3 q^0 and p(3) = 3: T_j(3) = 9 w_j attains the bound
-    # p(nmax) max|w| sum|c|, and 9 (2^200 - 1) needs all but 3 bits of the
-    # slot width bits(3) + bits(2^200 - 1) + bits(3) + 1 = 205
+    # p(nmax) max|w| sum|c|, and |9 (2^200 - 1)| > 2^203, so a slot one bit
+    # narrower than bits(3) + bits(2^200 - 1) + bits(3) + 1 = 205 overflows
     biv = qs.BivariateSeries({0: {0: 3}}, qs.partition_series(3))
     top = 2**200 - 1
     weights = [(lambda m, w=w: w) for w in (top, -top, -top, top, 1, -top)]
