@@ -149,18 +149,20 @@ class TestAggregates:
         assert (agg.spt, agg.ospt_strings, agg.durfee_sum) == (3, 1, 2)
 
     def test_one_pass_matches_per_partition_statistics(self):
-        for n in range(21):
+        # the pinned failure reports print the brute histograms in insertion
+        # order, so the order of first occurrence must match as well
+        for n in range(41):
             crank, rank = Counter(), Counter()
             spt = strings = durfee = 0
             for parts in pt.partitions_of(n):
-                s = pt.stats_of(parts)
-                crank[s.crank] += 1
-                rank[s.rank] += 1
-                spt += s.smallest_part_count
-                strings += s.string_count
-                durfee += s.durfee
+                crank[tuple_crank(parts)] += 1
+                rank[tuple_rank(parts)] += 1
+                spt += tuple_smallest_part_count(parts)
+                strings += tuple_string_count(parts)
+                durfee += tuple_durfee_size(parts)
             agg = pt.brute_aggregates(n)
-            assert agg.crank == crank and agg.rank == rank
+            assert list(agg.crank.items()) == list(crank.items())
+            assert list(agg.rank.items()) == list(rank.items())
             assert (agg.count, agg.spt, agg.ospt_strings, agg.durfee_sum) == (
                 sum(crank.values()), spt, strings, durfee)
 
@@ -214,6 +216,128 @@ def counter_string_count(parts):
             if (s - 1) not in present and run % 2 == 1 and run >= s - 1:
                 total += 1
     return total
+
+
+def tuple_rank(parts):
+    """Reference rank: largest part minus number of parts."""
+    if not parts:
+        return 0
+    return parts[0] - len(parts)
+
+
+def tuple_crank(parts):
+    """Reference crank: largest part if there are no ones, else
+    (#parts > #ones) - #ones, by the raw combinatorial rule (-1 at (1))."""
+    if not parts:
+        return 0
+    ones = 0
+    for p in reversed(parts):
+        if p != 1:
+            break
+        ones += 1
+    if ones == 0:
+        return parts[0]
+    exceeding = 0
+    for p in parts:
+        if p > ones:
+            exceeding += 1
+        else:
+            break
+    return exceeding - ones
+
+
+def tuple_durfee_size(parts):
+    """Reference Durfee size: side of the largest square in the diagram."""
+    d = 0
+    for i, p in enumerate(parts):
+        if p >= i + 1:
+            d = i + 1
+        else:
+            break
+    return d
+
+
+def tuple_smallest_part_count(parts):
+    """Reference multiplicity of the smallest part (0 for no parts)."""
+    if not parts:
+        return 0
+    smallest = parts[-1]
+    c = 0
+    for p in reversed(parts):
+        if p != smallest:
+            break
+        c += 1
+    return c
+
+
+def tuple_string_count(parts):
+    """Reference string count: one scan of the parts, a block of equal
+    parts at a time, largest first.
+
+    The run from a block's value s is one longer than the run from the
+    previous block's value when that value is s+1; whether s-1 is absent
+    is known at the next block, so an even s whose run qualifies waits
+    there.
+    """
+    total = 0
+    waiting = False  # the previous block is an even s whose run qualifies
+    run = prev = 0
+    i, n = 0, len(parts)
+    while i < n:
+        s = parts[i]
+        j = i + 1
+        while j < n and parts[j] == s:
+            j += 1
+        if waiting and s != prev - 1:
+            total += 1
+        run = run + 1 if prev == s + 1 else 1
+        if s % 2 == 1:
+            waiting = False
+            if j - i == 1 and run >= s:
+                total += 1
+        else:
+            waiting = run % 2 == 1 and run >= s - 1
+        prev = s
+        i = j
+    return total + waiting
+
+
+REFERENCES = {
+    "rank_of": tuple_rank,
+    "crank_of": tuple_crank,
+    "durfee_size": tuple_durfee_size,
+    "smallest_part_count": tuple_smallest_part_count,
+    "string_count": tuple_string_count,
+}
+
+
+def assert_statistics_match_references(parts):
+    for name, reference in REFERENCES.items():
+        assert getattr(pt, name)(parts) == reference(parts), (name, parts)
+
+
+def test_statistics_match_references_exhaustively():
+    for n in range(26):
+        for parts in pt.partitions_of(n):
+            assert_statistics_match_references(parts)
+
+
+@st.composite
+def random_parts(draw):
+    """A random partition of some N <= 40, parts weakly decreasing."""
+    remaining = draw(st.integers(0, 40))
+    parts = []
+    while remaining:
+        part = draw(st.integers(1, remaining))
+        parts.append(part)
+        remaining -= part
+    return tuple(sorted(parts, reverse=True))
+
+
+@given(random_parts())
+@settings(max_examples=300, deadline=None)
+def test_statistics_match_references(parts):
+    assert_statistics_match_references(parts)
 
 
 @given(st.lists(st.integers(1, 14), max_size=18).map(
