@@ -8,7 +8,7 @@ characterizes ospt parity arithmetically.
 """
 
 from .moments import CrankRankTable, basis_change_coeffs, spt_ospt, symmetrized_series
-from .partitions import brute_aggregates, brute_distribution, partitions_of, stats_of
+from .partitions import brute_aggregates, brute_distribution, partitions_of
 from .series import (
     BivariateSeries,
     ExactSeries,
@@ -33,7 +33,6 @@ __all__ = [
     "partition_series",
     "partitions_of",
     "spt_ospt",
-    "stats_of",
     "symmetrized_series",
 ]
 

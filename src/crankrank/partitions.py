@@ -6,14 +6,16 @@ That makes this module the independent oracle against which the
 generating-function machinery in :mod:`crankrank.series` and
 :mod:`crankrank.moments` is validated.
 
-Enumeration is iterative: ``partitions_of`` steps one list from the
-all-ones partition to ``(n,)`` by a successor rule, in lexicographic
-order (the same order as the recursive reference generator in the
-tests).  ``brute_aggregates`` enumerates the partitions of one n once
-and tallies every statistic in that single pass.
+A partition is a tuple of blocks ``(part, multiplicity)``, parts strictly
+decreasing, so 3+1+1 is ``((3, 1), (1, 2))``; the empty tuple is the
+unique partition of 0.  Each statistic reads the blocks, one per distinct
+part, rather than every part.
 
-A partition is represented as a weakly decreasing tuple of positive
-integers; the empty tuple is the unique partition of 0.
+Enumeration is iterative: ``partitions_of`` steps one list of blocks from
+the all-ones partition to ``(n,)`` by a successor rule, in lexicographic
+order of the parts (the same order as the recursive reference generator
+in the tests).  ``brute_aggregates`` enumerates the partitions of one n
+once and tallies every statistic in that single pass.
 """
 
 from __future__ import annotations
@@ -25,21 +27,6 @@ from .errors import ResourceLimitError
 
 # p(80) is about 1.5e7; exhaustive statistics beyond that are impractical.
 ENUMERATION_CAP = 80
-
-
-@dataclass(frozen=True)
-class PartitionStats:
-    """The five statistics attached to a single partition.
-
-    For the empty partition all fields are zero, which keeps the N=0 rows
-    of every downstream table well defined.
-    """
-
-    rank: int
-    crank: int
-    durfee: int
-    smallest_part_count: int
-    string_count: int
 
 
 @dataclass(frozen=True)
@@ -59,56 +46,54 @@ class BruteAggregates:
     rank: dict
 
 
-def check_partition(parts) -> tuple:
-    """Validate and normalize a partition given as an iterable of parts."""
-    t = tuple(parts)
-    for a, b in zip(t, t[1:]):
-        if a < b:
-            raise ValueError(f"parts must be weakly decreasing, got {t}")
-    if t and t[-1] < 1:
-        raise ValueError(f"parts must be positive, got {t}")
-    return t
+def partitions_of(n: int):
+    """Yield every partition of n exactly once, as blocks, in lexicographic
+    order of the parts.
 
+    Written out as weakly decreasing parts compared left to right, the
+    order for n=4 is 1+1+1+1, 2+1+1, 2+2, 3+1, 4; as blocks that is
+    ((1, 4),), ((2, 1), (1, 2)), ((2, 2),), ((3, 1), (1, 1)), ((4, 1),).
 
-def partitions_of(n: int, cap: int = ENUMERATION_CAP):
-    """Yield every partition of n exactly once, in lexicographic order.
-
-    Partitions are weakly decreasing tuples compared left to right, so for
-    n=4 the order is (1,1,1,1), (2,1,1), (2,2), (3,1), (4).
-
-    One list is stepped in place, starting from n ones.  The successor
-    takes the rightmost part a[i] other than the last with i == 0 or
-    a[i] < a[i-1], adds 1 to it, and replaces every part after it by
-    sum(a[i+1:]) - 1 ones; that is the next partition in the order above.
+    One list of blocks is stepped in place, starting from n ones.  The
+    successor raises by 1 the first copy of the last part, or of the part
+    before it when the last part occurs once, and turns every part after
+    that copy into ones; that is the next partition in the order above.
+    Only the blocks from the raised part on are rebuilt, and the raised
+    part joins the block before it when they become equal.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"partition enumeration capped at n <= {cap}, got {n}"
+            f"partition enumeration capped at n <= {ENUMERATION_CAP}, got {n}"
         )
-    a = [1] * n
+    blocks = [(1, n)] if n else []
     while True:
-        yield tuple(a)
-        i = len(a) - 2
-        if i < 0:
+        yield tuple(blocks)
+        if not blocks or blocks[0][0] == n:
             return
-        # a is weakly decreasing, so a[i] < a[i-1] means a[i] != a[i-1]
-        while i > 0 and a[i] == a[i - 1]:
-            i -= 1
-        rest = sum(a[i + 1:]) - 1
-        a[i] += 1
-        a[i + 1:] = [1] * rest
+        part, mult = blocks.pop()
+        ones = -1  # the parts after the raised copy, less the 1 it gains
+        if mult == 1:  # the last part occurs once: raise the part before it
+            ones += part
+            part, mult = blocks.pop()
+        ones += part * (mult - 1)
+        if blocks and blocks[-1][0] == part + 1:
+            blocks[-1] = (part + 1, blocks[-1][1] + 1)
+        else:
+            blocks.append((part + 1, 1))
+        if ones:
+            blocks.append((1, ones))
 
 
-def rank_of(parts) -> int:
+def rank_of(blocks) -> int:
     """Largest part minus number of parts (0 for the empty partition)."""
-    if not parts:
+    if not blocks:
         return 0
-    return parts[0] - len(parts)
+    return blocks[0][0] - sum(mult for _, mult in blocks)
 
 
-def crank_of(parts) -> int:
+def crank_of(blocks) -> int:
     """Largest part if there are no ones, else (#parts > #ones) - #ones.
 
     This is the raw combinatorial rule; note that it assigns -1 to the
@@ -116,49 +101,34 @@ def crank_of(parts) -> int:
     column as w^-1 - 1 + w.  Reconciling the two is the table builder's
     job, never this function's.
     """
-    if not parts:
+    if not blocks:
         return 0
-    ones = 0
-    for p in reversed(parts):
-        if p != 1:
-            break
-        ones += 1
-    if ones == 0:
-        return parts[0]
-    exceeding = 0
-    for p in parts:
-        if p > ones:
-            exceeding += 1
-        else:
-            break
-    return exceeding - ones
+    smallest, ones = blocks[-1]
+    if smallest != 1:
+        return blocks[0][0]
+    return sum(mult for part, mult in blocks if part > ones) - ones
 
 
-def durfee_size(parts) -> int:
-    """Side of the largest square fitting in the Young diagram."""
+def durfee_size(blocks) -> int:
+    """Side of the largest square fitting in the Young diagram.
+
+    While every part so far is at least the number of parts so far, d is
+    that number; a block of m parts equal to p then fits min(p, d + m).
+    """
     d = 0
-    for i, p in enumerate(parts):
-        if p >= i + 1:
-            d = i + 1
-        else:
+    for part, mult in blocks:
+        if part <= d:
             break
+        d = min(part, d + mult)
     return d
 
 
-def smallest_part_count(parts) -> int:
+def smallest_part_count(blocks) -> int:
     """Multiplicity of the smallest part (0 for the empty partition)."""
-    if not parts:
-        return 0
-    smallest = parts[-1]
-    c = 0
-    for p in reversed(parts):
-        if p != smallest:
-            break
-        c += 1
-    return c
+    return blocks[-1][1] if blocks else 0
 
 
-def string_count(parts) -> int:
+def string_count(blocks) -> int:
     """Count even and odd strings in a partition.
 
     A run starting at s has length L when s, s+1, ..., s+L-1 all occur as
@@ -170,48 +140,29 @@ def string_count(parts) -> int:
     One partition may contain several strings; each qualifying starting
     part contributes one.
 
-    The parts are scanned once, largest first, one block of equal parts at
-    a time: a block gives its value s and multiplicity, and the run from s
-    is one longer than the run from the previous block's value when that
-    value is s+1.  Whether s-1 is absent is known at the next block, so an
-    even s whose run qualifies waits there.
+    The blocks are scanned once, largest first: the run from a block's
+    part s is one longer than the run from the previous block's part when
+    that part is s+1.  Whether s-1 is absent is known at the next block,
+    so an even s whose run qualifies waits there.
     """
     total = 0
     waiting = False  # the previous block is an even s whose run qualifies
     run = prev = 0
-    i, n = 0, len(parts)
-    while i < n:
-        s = parts[i]
-        j = i + 1
-        while j < n and parts[j] == s:
-            j += 1
+    for s, mult in blocks:
         if waiting and s != prev - 1:
             total += 1
         run = run + 1 if prev == s + 1 else 1
         if s % 2 == 1:
             waiting = False
-            if j - i == 1 and run >= s:
+            if mult == 1 and run >= s:
                 total += 1
         else:
             waiting = run % 2 == 1 and run >= s - 1
         prev = s
-        i = j
     return total + waiting
 
 
-def stats_of(parts) -> PartitionStats:
-    """All five statistics of one partition (validated first)."""
-    t = check_partition(parts)
-    return PartitionStats(
-        rank=rank_of(t),
-        crank=crank_of(t),
-        durfee=durfee_size(t),
-        smallest_part_count=smallest_part_count(t),
-        string_count=string_count(t),
-    )
-
-
-def brute_distribution(n: int, kind: str, cap: int = ENUMERATION_CAP) -> dict:
+def brute_distribution(n: int, kind: str) -> dict:
     """Histogram of crank or rank over all partitions of n.
 
     For kind="crank" and n=1 this returns the raw combinatorial histogram
@@ -220,10 +171,10 @@ def brute_distribution(n: int, kind: str, cap: int = ENUMERATION_CAP) -> dict:
     """
     if kind not in ("crank", "rank"):
         raise ValueError(f"kind must be 'crank' or 'rank', got {kind!r}")
-    return getattr(brute_aggregates(n, cap=cap), kind)
+    return getattr(brute_aggregates(n), kind)
 
 
-def brute_aggregates(n: int, cap: int = ENUMERATION_CAP) -> BruteAggregates:
+def brute_aggregates(n: int) -> BruteAggregates:
     """Every brute-force statistic of the partitions of n, in one pass.
 
     Returns the crank and rank histograms together with the totals of
@@ -232,13 +183,13 @@ def brute_aggregates(n: int, cap: int = ENUMERATION_CAP) -> BruteAggregates:
     crank = Counter()
     rank = Counter()
     count = spt = strings = durfee = 0
-    for parts in partitions_of(n, cap=cap):
+    for blocks in partitions_of(n):
         count += 1
-        crank[crank_of(parts)] += 1
-        rank[rank_of(parts)] += 1
-        spt += smallest_part_count(parts)
-        strings += string_count(parts)
-        durfee += durfee_size(parts)
+        crank[crank_of(blocks)] += 1
+        rank[rank_of(blocks)] += 1
+        spt += smallest_part_count(blocks)
+        strings += string_count(blocks)
+        durfee += durfee_size(blocks)
     return BruteAggregates(
         n=n, count=count, spt=spt, ospt_strings=strings, durfee_sum=durfee,
         crank=dict(crank), rank=dict(rank),
