@@ -255,12 +255,6 @@ class TestUsage:
         assert out == ""
         assert err.startswith("resource limit: ")
 
-    def test_resource_exit_code(self, capsys):
-        # nmax far past the enumeration cap still works for series routes;
-        # force the brute cap through verify
-        code, _, err = run_cli(capsys, "tables", "--nmax", "-3")
-        assert code == 1
-
 
 class TestDeterminism:
     def test_identical_output(self, capsys):
