@@ -156,7 +156,8 @@ def check_row_structure(ctx: SuiteContext) -> list:
     """Row sums give p(N); rows are symmetric under m -> -m.
 
     Both are read off the factorized tables: the weight-1 sum over m is one
-    product, and symmetry is numerator column m against column -m.
+    packed division by (q;q)_inf (``BivariateSeries.weighted_sums``), and
+    symmetry is numerator column m against column -m.
     """
     return [
         _verdict(
