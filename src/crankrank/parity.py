@@ -17,7 +17,8 @@ from math import gcd, isqrt
 _SMALL_TRIAL_LIMIT = 10**6
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10^24, which
-# comfortably covers the supported 63-bit range.
+# comfortably covers the supported 63-bit range; is_prime also tries these
+# primes as divisors first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -46,7 +47,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 0 <= n < 2^63."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
