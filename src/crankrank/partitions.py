@@ -90,7 +90,10 @@ def rank_of(blocks) -> int:
     """Largest part minus number of parts (0 for the empty partition)."""
     if not blocks:
         return 0
-    return blocks[0][0] - sum(mult for _, mult in blocks)
+    count = 0
+    for _, mult in blocks:
+        count += mult
+    return blocks[0][0] - count
 
 
 def crank_of(blocks) -> int:
@@ -106,20 +109,28 @@ def crank_of(blocks) -> int:
     smallest, ones = blocks[-1]
     if smallest != 1:
         return blocks[0][0]
-    return sum(mult for part, mult in blocks if part > ones) - ones
+    exceeding = 0
+    for part, mult in blocks:
+        if part <= ones:
+            break
+        exceeding += mult
+    return exceeding - ones
 
 
 def durfee_size(blocks) -> int:
     """Side of the largest square fitting in the Young diagram.
 
-    While every part so far is at least the number of parts so far, d is
-    that number; a block of m parts equal to p then fits min(p, d + m).
+    That is the largest d whose d-th largest part is at least d.  While
+    each part so far is at least its position, d counts them; a block of
+    m parts equal to p after them holds positions d+1 .. d+m.
     """
     d = 0
     for part, mult in blocks:
         if part <= d:
             break
-        d = min(part, d + mult)
+        if part < d + mult:
+            return part
+        d += mult
     return d
 
 
