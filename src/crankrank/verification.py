@@ -178,8 +178,25 @@ def check_row_structure(ctx: SuiteContext) -> list:
     ]
 
 
+def _family_times_euler(ell: int, sym: dict, nmax: int):
+    """Counterexamples to (sum_r sym[r]) * (q;q)_inf = sum_r A_{ell,r}.
+
+    The product is ``ExactSeries.__mul__`` with ``euler_function``, so it
+    does not go through the division that formed ``sym``; an overflowed
+    slot of any order breaks the sum.
+    """
+    total = qs.ExactSeries(map(sum, zip(*sym.values())))
+    prod = (total * qs.euler_function(nmax)).coeffs
+    appell = [sum(column) for column in zip(
+        *(qs.appell_sum(ell, r, nmax).coeffs for r in sym))]
+    return ({"kind": moments.kind_for_ell(ell), "n": n, "product": a,
+             "appell": b}
+            for n, (a, b) in enumerate(zip(prod, appell)) if a != b)
+
+
 def check_series_basics(ctx: SuiteContext) -> list:
-    """Euler product inverts the partition series; marker collapse works."""
+    """Euler product inverts the partition series; marker collapse works;
+    each symmetrized family times (q;q)_inf gives back its Appell sums."""
     nm = min(ctx.nmax, 200)
     prod = qs.euler_function(nm) * qs.partition_series(nm)
     nm2 = min(ctx.nmax, 60)
@@ -194,6 +211,13 @@ def check_series_basics(ctx: SuiteContext) -> list:
             ({"kind": kind} for kind in ("crank", "rank")
              if qs.bivariate_series(kind, nm2).collapse_marker().coeffs
              != qs.partition_series(nm2).coeffs),
+        ),
+        _verdict(
+            "family-times-euler",
+            f"both kinds, r <= {MOMENT_ORDER_MAX}, through q^{ctx.nmax}",
+            "family x (q;q)_inf != Appell sums",
+            (bad for ell, sym in ((1, ctx.sym_crank), (3, ctx.sym_rank))
+             for bad in _family_times_euler(ell, sym, ctx.nmax)),
         ),
     ]
 

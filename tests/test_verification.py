@@ -92,7 +92,7 @@ def _failure(corrupt, name, detail, counterexample, line, id=None):
 
 # One case per CheckResult name: the corruption, the full as_dict() of the
 # failing result, and the line `verify` prints for it (the counterexample
-# dict's repr, in its key order).  All 22 at build_context(30, 10).
+# dict's repr, in its key order).  All 23 at build_context(30, 10).
 FAILURE_REPORTS = [
     _failure(
         lambda ctx, mp: _with_extra_monomial(ctx, "crank", 5, 2),
@@ -153,6 +153,14 @@ FAILURE_REPORTS = [
         {"kind": "rank"},
         "FAIL marker-collapse: w=1 collapse != p(N) | first counterexample: "
         "{'kind': 'rank'}",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.sym_rank[4], 11),
+        "family-times-euler", "family x (q;q)_inf != Appell sums",
+        {"kind": "rank", "n": "11", "product": "4678", "appell": "4677"},
+        "FAIL family-times-euler: family x (q;q)_inf != Appell sums | first "
+        "counterexample: {'kind': 'rank', 'n': 11, 'product': 4678, "
+        "'appell': 4677}",
     ),
     _failure(
         lambda ctx, mp: _bump(ctx.spt, 7),
@@ -296,7 +304,7 @@ def test_failure_report(corrupt, expected, line, monkeypatch, capsys):
 def test_failure_reports_cover_every_result():
     names = {case.values[1]["name"] for case in FAILURE_REPORTS}
     assert names == {r.name for r in vr.run_suite(5)}
-    assert len(names) == 22
+    assert len(names) == 23
 
 
 def test_failure_detection():
