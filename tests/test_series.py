@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crankrank import partitions
+from crankrank import moments, partitions
 from crankrank import series as qs
 from crankrank.errors import ConvergenceError
 
@@ -140,6 +140,21 @@ class TestProductAgainstSchoolbook:
         a = factor(600)
         prod = a * p
         assert prod.coeffs == schoolbook_product(a, p)
+
+
+class TestPackedDivision:
+    """Quotients by (q;q)_inf against the products they replace."""
+
+    @pytest.mark.parametrize("ell", [1, 3])
+    @pytest.mark.parametrize("orders, nmax", [
+        ((1, 2, 6, 10), 600), ((2, 20), 400), ((1, 30), 200),
+    ])
+    def test_symmetrized_family(self, ell, orders, nmax):
+        # every order of one family shares one packed division by (q;q)_inf
+        family = moments.symmetrized_family(ell, orders, nmax)
+        p = qs.partition_series(nmax)
+        for r in orders:
+            assert family[r] == schoolbook_product(qs.appell_sum(ell, r, nmax), p)
 
 
 class TestBivariateSeries:
