@@ -219,14 +219,28 @@ def symmetrized_family(ell: int, orders, nmax: int) -> dict:
     A_{ell,r} is ``series.appell_sum``; it equals the binomial-weighted
     moment sum_{m>=1} C(m + floor((r-1)/2), r) M(m, N) over the crank
     (ell=1) or rank (ell=3) histogram.  This is the one place the quotient
-    is formed: 1/(q;q)_inf is built once, and each order costs one product.
-    The family's size is estimated first (``series.check_quotient_family``)
-    and refused with ResourceLimitError before anything is built.
+    is formed: the Appell sums of all orders are packed side by side, one
+    integer per power of q with one slot per order, and divided by
+    (q;q)_inf once (``series.divide_packed``); p is never built.  The
+    quotient T_r(N) = sum_{k <= N} a_r(k) p(N - k) has
+    |T_r(N)| <= p(nmax) sum |a_r|, so a slot of bits(p(nmax)) +
+    bits(sum |a_r|) + 1 bits holds it, with bits(p(nmax)) bounded by
+    ``series.partition_bits``.  The family's size is estimated first
+    (``series.check_quotient_family``) and refused with
+    ResourceLimitError before anything is built.
     """
     orders = list(orders)
     qs.check_quotient_family(orders, nmax)
-    p = qs.partition_series(nmax)
-    return {r: (qs.appell_sum(ell, r, nmax) * p).coeffs for r in orders}
+    sums = [qs.appell_sum(ell, r, nmax).coeffs for r in orders]
+    bits = (qs.partition_bits(nmax) + 1
+            + max((sum(map(abs, a)).bit_length() for a in sums), default=0))
+    packed = []
+    for column in zip(*sums):
+        t = 0
+        for a in reversed(column):
+            t = (t << bits) + a
+        packed.append(t)
+    return dict(zip(orders, qs.divide_packed(packed, len(orders), bits)))
 
 
 def symmetrized_series(ell: int, r: int, nmax: int) -> list:

@@ -170,24 +170,16 @@ class BivariateSeries:
         The weights enter linearly, so they share one numerator and one
         division: column m gets the packed weight W(m) = sum_j w_j(m) X^j
         with X = 2^B, the packed numerator sum_m W(m) columns[m] is formed
-        monomial by monomial, and it is divided by (q;q)_inf once, in place
-        (``_divide_by_euler``).  Python integers are exact and the division
-        is linear with integer coefficients, so the packed quotient is
-        exactly T_N = sum_j T_j(N) X^j, where T_j(N) = sum_{m, q0 <= N}
-        w_j(m) columns[m][q0] p(N - q0) is the wanted sum; the
-        intermediate values need no bound.
+        monomial by monomial, and ``divide_packed`` divides it by
+        (q;q)_inf once and reads back T_j(N) = sum_{m, q0 <= N} w_j(m)
+        columns[m][q0] p(N - q0), the wanted sum, from slot j.
 
         Only the slots must fit.  p is positive and nondecreasing, so
         p(N - q0) <= p(nmax), and whatever the columns,
         |T_j(N)| <= p(nmax) * max |w| * sum_{m, q0} |columns[m][q0]|, with
         max |w| taken over every weight and column; that is below
         2^(bits(p(nmax)) + bits(max |w|) + bits(sum |c|)), and B is one
-        bit more, so |T_j(N)| < X/2.  Adding X/2 to every slot then puts
-        each digit of T_N in (0, X): none borrows from its neighbour, and
-        each is read back as T_j(N) + X/2.  With a few slots per integer,
-        shifts pack and unpack faster than the byte strings that
-        ``ExactSeries.__mul__`` uses for its nmax+1 slots, where repeated
-        shifts would take quadratic time.
+        bit more, so |T_j(N)| < X/2.
         """
         weights = list(weights)
         count = len(weights)
@@ -209,15 +201,7 @@ class BivariateSeries:
                 packed = (packed << bits) + x
             for q0, c in col.items():
                 acc[q0] += c * packed
-        _divide_by_euler(acc)
-        half = 1 << (bits - 1)
-        mask = (1 << bits) - 1
-        shifts = range(0, count * bits, bits)
-        bias = sum(half << s for s in shifts)
-        for N, t in enumerate(acc):  # each packed sum is dropped once read
-            t += bias
-            acc[N] = [((t >> s) & mask) - half for s in shifts]
-        return [list(sums) for sums in zip(*acc)]
+        return divide_packed(acc, count, bits)
 
     def dense_row(self, n: int) -> list:
         """The q^n coefficient as a dense list of 2n+1 integers, index m+n."""
@@ -276,10 +260,23 @@ class BivariateSeries:
         return first
 
 
+def _log_partition_bound(nmax: int) -> float:
+    """pi sqrt(2 nmax/3), the log of a bound on p(nmax): p(n) < e^{pi sqrt(2n/3)}
+    for n >= 1 (Apostol, Introduction to Analytic Number Theory, Thm 14.5)."""
+    return math.pi * math.sqrt(2.0 * nmax / 3.0)
+
+
+def partition_bits(nmax: int) -> int:
+    """An upper bound on bits(p(nmax)), known without building p: the
+    bound of ``_log_partition_bound`` in bits, plus 2 bits of margin for
+    its rounding and for p(0) = 1."""
+    return math.ceil(_log_partition_bound(nmax) / math.log(2.0)) + 2
+
+
 def _entry_bytes(nmax: int) -> float:
     """Bytes of one stored table entry: a list slot and an int object
-    (8 + 28 bytes) plus the digits of |coefficient| <= p(nmax) < e^{pi sqrt(2 nmax/3)}."""
-    return 8 + 28 + math.pi * math.sqrt(2.0 * nmax / 3.0) / math.log(256.0)
+    (8 + 28 bytes) plus the digits of |coefficient| <= p(nmax)."""
+    return 8 + 28 + _log_partition_bound(nmax) / math.log(256.0)
 
 
 def _refuse_over_limit(what: str, size: float) -> None:
@@ -342,6 +339,34 @@ def _divide_by_euler(t: list) -> list:
                 total -= t[n - g]
         t[n] = total
     return t
+
+
+def divide_packed(acc: list, count: int, bits: int) -> list:
+    """Divide ``count`` series packed side by side by (q;q)_inf at once.
+
+    acc[N] = sum_j t_j(N) X^j with X = 2^bits packs the coefficients of
+    q^N of the series t_0, ..., t_{count-1}.  ``_divide_by_euler``
+    divides acc in place; Python integers are exact and the division is
+    linear with integer coefficients, so acc[N] becomes exactly
+    sum_j T_j(N) X^j, where T_j = t_j / (q;q)_inf, and the intermediate
+    values need no bound.  Only the slots must fit: the caller chooses
+    bits so that every |T_j(N)| < X/2.  Adding X/2 to every slot then
+    puts each digit of acc[N] in (0, X): none borrows from its
+    neighbour, and each is read back as T_j(N) + X/2.  Returns
+    [T_0, ..., T_{count-1}], each a list of len(acc) integers.  With a
+    few slots per integer, shifts unpack faster than the byte strings
+    that ``ExactSeries.__mul__`` uses for its nmax+1 slots, where
+    repeated shifts would take quadratic time.
+    """
+    _divide_by_euler(acc)
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    shifts = range(0, count * bits, bits)
+    bias = sum(half << s for s in shifts)
+    for N, t in enumerate(acc):  # each packed sum is dropped once read
+        t += bias
+        acc[N] = [((t >> s) & mask) - half for s in shifts]
+    return [list(sums) for sums in zip(*acc)]
 
 
 def partition_series(nmax: int) -> ExactSeries:

@@ -156,6 +156,27 @@ class TestPackedDivision:
         for r in orders:
             assert family[r] == schoolbook_product(qs.appell_sum(ell, r, nmax), p)
 
+    @given(series=st.integers(1, 64).flatmap(lambda n: st.lists(
+               _coefficient_lists(n), min_size=1, max_size=8)),
+           spare=st.integers(0, 3))
+    @example(series=[[-BIG] * 64, [BIG] * 64, [-1] * 64], spare=0)
+    @settings(max_examples=100, deadline=None)
+    def test_divide_packed(self, series, spare):
+        # each slot just wide enough (spare = 0) or a few bits wider
+        alone = [qs._divide_by_euler(list(t)) for t in series]
+        bits = max(abs(x) for T in alone for x in T).bit_length() + 1 + spare
+        packed = [sum(t << (j * bits) for j, t in enumerate(column))
+                  for column in zip(*series)]
+        assert qs.divide_packed(packed, len(series), bits) == alone
+
+    def test_partition_bits_bound_p(self):
+        p = qs.partition_series(2000).coeffs
+        assert p[0].bit_length() <= qs.partition_bits(0)
+        for n in range(1, 2001):
+            # p(n) < e^{pi sqrt(2n/3)}, with the 2 bits of margin left spare
+            assert math.log(p[n]) < math.pi * math.sqrt(2 * n / 3)
+            assert p[n].bit_length() <= qs.partition_bits(n) - 2
+
 
 class TestBivariateSeries:
     def test_crank_anomalous_column(self):
