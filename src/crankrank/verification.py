@@ -83,7 +83,7 @@ def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
         brute_nmax=brute_nmax,
         crank_table=crank_table,
         rank_table=rank_table,
-        partition_counts=qs.partition_series(nmax).coeffs,
+        partition_counts=crank_table.p.coeffs,
         pos_crank=crank_table.positive_moments_upto(MOMENT_ORDER_MAX),
         pos_rank=rank_table.positive_moments_upto(MOMENT_ORDER_MAX),
         sym_crank=sym_crank,

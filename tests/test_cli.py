@@ -361,6 +361,21 @@ def test_series_routes_refuse_before_building(argv, capsys, monkeypatch):
     assert err.startswith("resource limit: a quotient family of ")
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (["asym", "--ladder", "60,120,240", "--r", "1,2,3"], [(240,)]),
+    (["spt-ospt", "--nmax", "200"], []),
+], ids=["asym", "spt-ospt"])
+def test_partition_counts_built_at_most_once(argv, builds, capsys, monkeypatch):
+    # the series route divides by (q;q)_inf without p; asym reads p once,
+    # for its ospt ratios
+    built = []
+    real = qs.partition_series
+    monkeypatch.setattr(qs, "partition_series",
+                        lambda *args: built.append(args) or real(*args))
+    code, _, _ = run_cli(capsys, *argv)
+    assert (code, built) == (0, builds)
+
+
 def test_euler_factor_once_per_node_set(capsys, monkeypatch):
     # 6 (ell, r) pairs integrate over shared node sets; the Euler factor
     # of each node set is evaluated once, the Appell factor per pair

@@ -372,6 +372,17 @@ def test_reconciliation_failure_detection():
     assert results["basis-change-polynomial"].passed
 
 
+def test_context_builds_partition_counts_once_per_table(monkeypatch):
+    # partition_counts is the crank table's p, not a third recurrence run
+    built = []
+    real = qs.partition_series
+    monkeypatch.setattr(qs, "partition_series",
+                        lambda *args: built.append(args) or real(*args))
+    ctx = vr.build_context(30, 10)
+    assert built == [(30,), (30,)]
+    assert ctx.partition_counts == real(30).coeffs
+
+
 def test_brute_cap_respected():
     ctx = vr.build_context(20, brute_nmax=10)
     assert ctx.brute_nmax == 10
