@@ -7,33 +7,40 @@ growth formulas, reproduces coefficients by contour integration, and
 characterizes ospt parity arithmetically.
 """
 
-from .moments import CrankRankTable, basis_change_coeffs, spt_ospt, symmetrized_series
-from .partitions import brute_aggregates, brute_distribution, partitions_of
-from .series import (
-    BivariateSeries,
-    ExactSeries,
-    appell_sum,
-    bivariate_series,
-    euler_function,
-    ospt_numerator,
-    partition_series,
-)
+import importlib
 
-__all__ = [
-    "BivariateSeries",
-    "CrankRankTable",
-    "ExactSeries",
-    "appell_sum",
-    "basis_change_coeffs",
-    "bivariate_series",
-    "brute_aggregates",
-    "brute_distribution",
-    "euler_function",
-    "ospt_numerator",
-    "partition_series",
-    "partitions_of",
-    "spt_ospt",
-    "symmetrized_series",
-]
+#: Each re-exported name and the submodule that defines it.  A name's
+#: submodule is imported on first access (PEP 562), so ``import crankrank``
+#: and each CLI command load only the submodules they use.
+_EXPORTS = {
+    "BivariateSeries": "series",
+    "CrankRankTable": "moments",
+    "ExactSeries": "series",
+    "appell_sum": "series",
+    "basis_change_coeffs": "moments",
+    "bivariate_series": "series",
+    "brute_aggregates": "partitions",
+    "brute_distribution": "partitions",
+    "euler_function": "series",
+    "ospt_numerator": "series",
+    "partition_series": "series",
+    "partitions_of": "partitions",
+    "spt_ospt": "moments",
+    "symmetrized_series": "moments",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})
 
 __version__ = "0.1.0"

@@ -9,9 +9,9 @@ predictions, ``circle`` runs the contour-integral reproduction, and
 Exit codes: 0 success, 1 usage error, 2 verification/convergence failure,
 3 resource limit.  Output is deterministic for a fixed argument list.
 
-Each invocation pays only for the command it runs: ``circle`` imports its
-module, and with it numpy, when it starts, and no other command loads
-numpy.  The tabular commands write one row format: as CSV, piece by
+Each invocation pays only for the command it runs: ``verify``, ``parity``
+and ``circle`` import their modules when they start (``circle`` with them
+numpy, which no other command loads).  The tabular commands write one row format: as CSV, piece by
 piece to stdout or ``--out`` (``tables`` one dense row at a time), or as
 JSON, dumped whole as one list of the same rows.
 """
@@ -23,7 +23,7 @@ import contextlib
 import json
 import sys
 
-from . import asymptotics, moments, parity, verification
+from . import asymptotics, moments
 from . import series as qs
 from .errors import ConvergenceError, ResourceLimitError
 
@@ -204,6 +204,8 @@ def _cmd_spt_ospt(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     results = verification.run_suite(args.nmax)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -286,6 +288,8 @@ def _cmd_circle(args) -> int:
 
 
 def _cmd_parity(args) -> int:
+    from . import parity
+
     spt, ospt = moments.spt_ospt(args.nmax)
     rows = parity.parity_rows(spt, ospt, args.nmax)
     _write_rows(

@@ -322,8 +322,14 @@ import contextlib, io, sys
 from crankrank import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, *[name for name in ("parity", "partitions",
+      "verification") if f"crankrank.{name}" in sys.modules])
 """
+
+#: The optional package modules each command loads; every other command,
+#: and ``import crankrank.cli`` alone, loads none of them.
+_OPTIONAL_MODULES = {"verify": ["parity", "partitions", "verification"],
+                     "parity": ["parity"]}
 
 
 @pytest.mark.parametrize("argv, loads_numpy", [
@@ -341,7 +347,20 @@ def test_numpy_loaded_only_by_circle(argv, loads_numpy):
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.split() == ["0", str(loads_numpy)]
+    modules = _OPTIONAL_MODULES.get(argv[0] if argv else None, [])
+    assert done.stdout.split() == ["0", str(loads_numpy), *modules]
+
+
+def test_root_exports_resolve():
+    # the package root imports each exported name's module on first access
+    import importlib
+
+    for name in crankrank.__all__:
+        module = importlib.import_module(f"crankrank.{crankrank._EXPORTS[name]}")
+        assert getattr(crankrank, name) is getattr(module, name)
+        assert name in dir(crankrank)
+    with pytest.raises(AttributeError, match="no attribute 'mystery'"):
+        crankrank.mystery
 
 
 @pytest.mark.parametrize("argv", [
