@@ -21,11 +21,14 @@ Two independent routes to the same numbers live here:
   and ``spt_ospt`` are single-family calls into them.
 
 The two routes meeting exactly, for every N and r, is one of the main
-verification targets of the package.  Both rest on the pentagonal
-recurrence: the table route divides by (q;q)_inf with it directly, and
-the series route multiplies by p(q), the recurrence applied to 1, in a
-Kronecker product (``ExactSeries.__mul__``).  The identity suite checks
-the recurrence against the independently written ``euler_function``.
+verification targets of the package.  Both divide by (q;q)_inf with the
+pentagonal recurrence, each packing its numerators side by side into one
+integer per power of q (``series.divide_packed``): the table route its
+weighted numerator columns, the series route its Appell sums.  The
+identity suite checks that division apart from both routes, through
+products with the independently written ``euler_function``
+(``ExactSeries.__mul__``): p times it must give 1, and each symmetrized
+family times it must give back its Appell sums.
 
 Conventions: all moment computations use the raw generating-function
 histogram, including the anomalous crank column at N=1, which is the

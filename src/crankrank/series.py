@@ -25,12 +25,14 @@ Kronecker substitution: each operand is packed into a single integer with
 one slot per coefficient, and each slot is wide enough (bits(max|a|) +
 bits(max|b|) + bits(nmax+1) + 1 bits) that the signed coefficient sums of
 the product never spill into a neighbouring slot, so every coefficient read
-back is exact.  The same packing across weights instead of powers of q
-lets ``BivariateSeries.weighted_sums`` carry every weighted sum of a table
-through one division.  Complex floating-point evaluation of the same
-functions, with certified tail bounds, lives in the ``*_value`` functions;
-those sum the defining series directly and never go through the truncated
-integer expansions, so the two routes can be played against each other.
+back is exact.  The same packing across series instead of powers of q
+lets ``divide_packed`` divide many series by (q;q)_inf in one pass:
+``BivariateSeries.weighted_sums`` packs every weighted sum of a table,
+``moments.symmetrized_family`` the Appell sums of every order of a
+family.  Complex floating-point evaluation of the same functions, with
+certified tail bounds, lives in the ``*_value`` functions; those sum the
+defining series directly and never go through the truncated integer
+expansions, so the two routes can be played against each other.
 Every power of q they need is built by multiplication, as a running
 product from term to term, never by a complex exp or power.  They take a
 complex point or a numpy array of points (the Euler product bounds each
