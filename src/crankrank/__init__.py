@@ -39,8 +39,4 @@ def __getattr__(name):
     globals()[name] = value
     return value
 
-
-def __dir__():
-    return sorted({*globals(), *_EXPORTS})
-
 __version__ = "0.1.0"

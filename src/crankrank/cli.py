@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 usage error, 2 verification/convergence failure,
 
 Each invocation pays only for the command it runs: ``verify``, ``parity``
 and ``circle`` import their modules when they start (``circle`` with them
-numpy, which no other command loads).  The tabular commands write one row format: as CSV, piece by
-piece to stdout or ``--out`` (``tables`` one dense row at a time), or as
-JSON, dumped whole as one list of the same rows.
+numpy, which no other command loads).  The tabular commands write one row
+format: as CSV, piece by piece to stdout or ``--out`` (``tables`` one
+dense row at a time), or as JSON, dumped whole as one list of the same
+rows.
 """
 
 from __future__ import annotations

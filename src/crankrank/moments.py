@@ -237,12 +237,7 @@ def symmetrized_family(ell: int, orders, nmax: int) -> dict:
     sums = [qs.appell_sum(ell, r, nmax).coeffs for r in orders]
     bits = (qs.partition_bits(nmax) + 1
             + max((sum(map(abs, a)).bit_length() for a in sums), default=0))
-    packed = []
-    for column in zip(*sums):
-        t = 0
-        for a in reversed(column):
-            t = (t << bits) + a
-        packed.append(t)
+    packed = [qs.pack_slots(column, bits) for column in zip(*sums)]
     return dict(zip(orders, qs.divide_packed(packed, len(orders), bits)))
 
 

@@ -198,9 +198,7 @@ class BivariateSeries:
         acc = [0] * (self.nmax + 1)
         while table:  # each column's weights are dropped once packed
             w, col = table.pop()
-            packed = 0
-            for x in reversed(w):
-                packed = (packed << bits) + x
+            packed = pack_slots(w, bits)
             for q0, c in col.items():
                 acc[q0] += c * packed
         return divide_packed(acc, count, bits)
@@ -343,11 +341,21 @@ def _divide_by_euler(t: list) -> list:
     return t
 
 
+def pack_slots(values, bits: int) -> int:
+    """The integer sum_j values[j] 2^(j*bits), by Horner's rule: the
+    values side by side in slots of ``bits`` bits, slot 0 lowest.  The
+    values may have either sign; the sum is exact whatever they are."""
+    packed = 0
+    for x in reversed(values):
+        packed = (packed << bits) + x
+    return packed
+
+
 def divide_packed(acc: list, count: int, bits: int) -> list:
     """Divide ``count`` series packed side by side by (q;q)_inf at once.
 
-    acc[N] = sum_j t_j(N) X^j with X = 2^bits packs the coefficients of
-    q^N of the series t_0, ..., t_{count-1}.  ``_divide_by_euler``
+    acc[N] = sum_j t_j(N) X^j with X = 2^bits (``pack_slots``) packs the
+    coefficients of q^N of the series t_0, ..., t_{count-1}.  ``_divide_by_euler``
     divides acc in place; Python integers are exact and the division is
     linear with integer coefficients, so acc[N] becomes exactly
     sum_j T_j(N) X^j, where T_j = t_j / (q;q)_inf, and the intermediate

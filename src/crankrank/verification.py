@@ -178,19 +178,18 @@ def check_row_structure(ctx: SuiteContext) -> list:
     ]
 
 
-def _family_times_euler(ell: int, sym: dict, nmax: int):
+def _family_times_euler(kind: str, sym: dict, nmax: int):
     """Counterexamples to (sum_r sym[r]) * (q;q)_inf = sum_r A_{ell,r}.
 
     The product is ``ExactSeries.__mul__`` with ``euler_function``, so it
     does not go through the division that formed ``sym``; an overflowed
     slot of any order breaks the sum.
     """
+    ell = moments.ell_for_kind(kind)
     total = qs.ExactSeries(map(sum, zip(*sym.values())))
     prod = (total * qs.euler_function(nmax)).coeffs
-    appell = [sum(column) for column in zip(
-        *(qs.appell_sum(ell, r, nmax).coeffs for r in sym))]
-    return ({"kind": moments.kind_for_ell(ell), "n": n, "product": a,
-             "appell": b}
+    appell = map(sum, zip(*(qs.appell_sum(ell, r, nmax).coeffs for r in sym)))
+    return ({"kind": kind, "n": n, "product": a, "appell": b}
             for n, (a, b) in enumerate(zip(prod, appell)) if a != b)
 
 
@@ -216,8 +215,8 @@ def check_series_basics(ctx: SuiteContext) -> list:
             "family-times-euler",
             f"both kinds, r <= {MOMENT_ORDER_MAX}, through q^{ctx.nmax}",
             "family x (q;q)_inf != Appell sums",
-            (bad for ell, sym in ((1, ctx.sym_crank), (3, ctx.sym_rank))
-             for bad in _family_times_euler(ell, sym, ctx.nmax)),
+            (bad for kind, _, _, sym in _sides(ctx)
+             for bad in _family_times_euler(kind, sym, ctx.nmax)),
         ),
     ]
 
