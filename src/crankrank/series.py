@@ -261,8 +261,9 @@ class BivariateSeries:
 
 
 def _log_partition_bound(nmax: int) -> float:
-    """pi sqrt(2 nmax/3), the log of a bound on p(nmax): p(n) < e^{pi sqrt(2n/3)}
-    for n >= 1 (Apostol, Introduction to Analytic Number Theory, Thm 14.5)."""
+    """pi sqrt(2 nmax/3), the log of a bound on p(nmax):
+    p(n) < e^{pi sqrt(2n/3)} for n >= 1 (Apostol, Introduction to
+    Analytic Number Theory, Thm 14.5)."""
     return math.pi * math.sqrt(2.0 * nmax / 3.0)
 
 
@@ -355,14 +356,14 @@ def divide_packed(acc: list, count: int, bits: int) -> list:
     """Divide ``count`` series packed side by side by (q;q)_inf at once.
 
     acc[N] = sum_j t_j(N) X^j with X = 2^bits (``pack_slots``) packs the
-    coefficients of q^N of the series t_0, ..., t_{count-1}.  ``_divide_by_euler``
-    divides acc in place; Python integers are exact and the division is
-    linear with integer coefficients, so acc[N] becomes exactly
-    sum_j T_j(N) X^j, where T_j = t_j / (q;q)_inf, and the intermediate
-    values need no bound.  Only the slots must fit: the caller chooses
-    bits so that every |T_j(N)| < X/2.  Adding X/2 to every slot then
-    puts each digit of acc[N] in (0, X): none borrows from its
-    neighbour, and each is read back as T_j(N) + X/2.  Returns
+    coefficients of q^N of the series t_0, ..., t_{count-1}.
+    ``_divide_by_euler`` divides acc in place; Python integers are exact
+    and the division is linear with integer coefficients, so acc[N]
+    becomes exactly sum_j T_j(N) X^j, where T_j = t_j / (q;q)_inf, and
+    the intermediate values need no bound.  Only the slots must fit: the
+    caller chooses bits so that every |T_j(N)| < X/2.  Adding X/2 to
+    every slot then puts each digit of acc[N] in (0, X): none borrows
+    from its neighbour, and each is read back as T_j(N) + X/2.  Returns
     [T_0, ..., T_{count-1}], each a list of len(acc) integers.  With a
     few slots per integer, shifts unpack faster than the byte strings
     that ``ExactSeries.__mul__`` uses for its nmax+1 slots, where
