@@ -113,14 +113,12 @@ class TestSeriesArithmetic:
 
 
 class TestProductAgainstSchoolbook:
-    """The packed (Kronecker) product against the plain Cauchy loop."""
+    """``ExactSeries.__mul__`` against the plain Cauchy loop."""
 
     @given(series_pairs())
     @example((qs.ExactSeries([0]), qs.ExactSeries([0])))
     @example((qs.ExactSeries([-BIG]), qs.ExactSeries([BIG])))
     @example((qs.ExactSeries([-1] * 64), qs.ExactSeries([-BIG] * 64)))
-    # |c_62| = 63 * 31^2 >= 2^15 fills 5 + 5 + bits(63) = 16 bits past the
-    # signed half of a 2-byte slot: only the extra headroom bit keeps it exact
     @example((qs.ExactSeries([31] * 63), qs.ExactSeries([-31] * 63)))
     @settings(max_examples=100, deadline=None)
     def test_random_series(self, pair):
@@ -168,6 +166,13 @@ class TestPackedDivision:
         packed = [sum(t << (j * bits) for j, t in enumerate(column))
                   for column in zip(*series)]
         assert qs.divide_packed(packed, len(series), bits) == alone
+
+    @pytest.mark.parametrize("nmax", [0, 1, 600])
+    def test_ospt_series(self, nmax):
+        # the ospt numerator divided by (q;q)_inf, against its product with p
+        p = qs.partition_series(nmax)
+        assert qs.ospt_series(nmax).coeffs == schoolbook_product(
+            qs.ospt_numerator(nmax), p)
 
     def test_partition_bits_bound_p(self):
         p = qs.partition_series(2000).coeffs

@@ -8,7 +8,7 @@ below are the routes as they stood before: the dense one, every numerator
 monomial spread over a dense (nmax+1)-row histogram with each moment a
 per-row loop over m, which shares only ``numerator_entries`` and
 ``partition_series`` with the code under test; and the per-weight one,
-each weighted numerator multiplied by p in its own Kronecker product.
+each weighted numerator multiplied by p in one truncated product.
 """
 
 import random
@@ -83,7 +83,7 @@ def symmetrized_reference(rows, r):
 
 
 def product_reference(biv, weight):
-    """sum_m weight(m) (coefficient series of w^m) by one Kronecker product:
+    """sum_m weight(m) (coefficient series of w^m) by one truncated product:
     the weighted numerator, formed monomial by monomial, times p."""
     acc = [0] * (biv.nmax + 1)
     for m, col in biv.columns.items():
