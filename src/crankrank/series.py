@@ -20,16 +20,16 @@ This module builds the q-expansions everything else consumes:
   whose quotient by (q;q)_inf generates the ospt sequence.
 
 All series arithmetic is exact (Python integers) and silently truncated at
-a fixed order ``nmax``.  A product is one big-integer multiplication by
-Kronecker substitution: each operand is packed into a single integer with
-one slot per coefficient, and each slot is wide enough (bits(max|a|) +
-bits(max|b|) + bits(nmax+1) + 1 bits) that the signed coefficient sums of
-the product never spill into a neighbouring slot, so every coefficient read
-back is exact.  The same packing across series instead of powers of q
-lets ``divide_packed`` divide many series by (q;q)_inf in one pass:
+a fixed order ``nmax``.  Every quotient by (q;q)_inf is the in-place
+division of ``_divide_by_euler``: ``ospt_series`` divides the ospt
+numerator, and ``divide_packed`` divides many series in one pass, packed
+side by side, one integer per power of q with one slot per series:
 ``BivariateSeries.weighted_sums`` packs every weighted sum of a table,
 ``moments.symmetrized_family`` the Appell sums of every order of a
-family.  Complex floating-point evaluation of the same functions, with
+family.  A product (``ExactSeries.__mul__``) is the direct truncated
+Cauchy product, one pass per nonzero coefficient of its right factor;
+the identity suite multiplies by the sparse ``euler_function`` to check
+the division apart from both routes.  Complex floating-point evaluation of the same functions, with
 certified tail bounds, lives in the ``*_value`` functions; those sum the
 defining series directly and never go through the truncated integer
 expansions, so the two routes can be played against each other.
@@ -88,36 +88,19 @@ class ExactSeries:
         return f"ExactSeries([{head}{tail}], nmax={self.nmax})"
 
     def __mul__(self, other: "ExactSeries") -> "ExactSeries":
-        """Exact Cauchy product, truncated at nmax, by Kronecker substitution.
-
-        Both operands are packed into integers A = sum a_i X^i and
-        B = sum b_j X^j with X = 2^(8*width) (see ``_pack``), so the
-        coefficient c_k of q^k is the k-th base-X digit of A*B, read as a
-        signed digit.  |c_k| is a sum of at most nmax+1 terms |a_i b_j|,
-        hence below 2^(bits(max|a|) + bits(max|b|) + bits(nmax+1)), and
-        ``width`` is chosen one bit larger than that.  Adding X/2 to each of
-        the low nmax+1 digits then makes every digit lie in [0, X): no digit
-        borrows from or carries into its neighbour, and one multiplication
-        gives every truncated coefficient exactly.
-        """
+        """Exact Cauchy product, truncated at nmax: each nonzero coefficient
+        y of q^j in ``other`` adds y times ``self``, shifted by j.  The cost
+        is one pass over ``self`` per nonzero coefficient of ``other``, so
+        the sparse factor goes on the right."""
         if self.nmax != other.nmax:
             raise ValueError(
                 f"truncation orders differ: {self.nmax} != {other.nmax}"
             )
-        count = self.nmax + 1
-        a, b = self.coeffs, other.coeffs
-        bits = (
-            max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + count.bit_length() + 1
-        )
-        width = (bits + 7) // 8
-        size = width * count
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-        digits = ((_pack(a, width) * _pack(b, width) + bias)
-                  & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        return ExactSeries([int.from_bytes(digits[i:i + width], "little") - half
-                            for i in range(0, size, width)])
+        out = [0] * (self.nmax + 1)
+        for j, y in enumerate(other.coeffs):
+            if y:
+                out[j:] = [c + x * y for c, x in zip(out[j:], self.coeffs)]
+        return ExactSeries(out)
 
     def partial_value(self, x: complex) -> complex:
         """Horner evaluation of the truncated polynomial at x."""
@@ -125,21 +108,6 @@ class ExactSeries:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-
-def _pack(coeffs, width: int) -> int:
-    """sum_i coeffs[i] * 2^(8*width*i), built from two unsigned byte strings.
-
-    The positive coefficients and the magnitudes of the negative ones are
-    laid out little-endian in slots of ``width`` bytes, which must hold
-    every |coefficient|; the packed value is their difference.
-    """
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero
-                   for c in coeffs)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
-                   for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class BivariateSeries:
@@ -364,10 +332,7 @@ def divide_packed(acc: list, count: int, bits: int) -> list:
     caller chooses bits so that every |T_j(N)| < X/2.  Adding X/2 to
     every slot then puts each digit of acc[N] in (0, X): none borrows
     from its neighbour, and each is read back as T_j(N) + X/2.  Returns
-    [T_0, ..., T_{count-1}], each a list of len(acc) integers.  With a
-    few slots per integer, shifts unpack faster than the byte strings
-    that ``ExactSeries.__mul__`` uses for its nmax+1 slots, where
-    repeated shifts would take quadratic time.
+    [T_0, ..., T_{count-1}], each a list of len(acc) integers.
     """
     _divide_by_euler(acc)
     half = 1 << (bits - 1)
@@ -583,8 +548,9 @@ def ospt_numerator(nmax: int) -> ExactSeries:
 
 
 def ospt_series(nmax: int) -> ExactSeries:
-    """Generating series of ospt(N): ospt_numerator / (q;q)_inf."""
-    return ospt_numerator(nmax) * partition_series(nmax)
+    """Generating series of ospt(N): ospt_numerator / (q;q)_inf, divided
+    in place by ``_divide_by_euler``."""
+    return ExactSeries(_divide_by_euler(ospt_numerator(nmax).coeffs))
 
 
 # ---------------------------------------------------------------------------

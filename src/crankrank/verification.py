@@ -197,7 +197,7 @@ def check_series_basics(ctx: SuiteContext) -> list:
     """Euler product inverts the partition series; marker collapse works;
     each symmetrized family times (q;q)_inf gives back its Appell sums."""
     nm = min(ctx.nmax, 200)
-    prod = qs.euler_function(nm) * qs.partition_series(nm)
+    prod = qs.partition_series(nm) * qs.euler_function(nm)
     nm2 = min(ctx.nmax, 60)
     return [
         _verdict(
