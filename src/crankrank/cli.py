@@ -9,12 +9,12 @@ predictions, ``circle`` runs the contour-integral reproduction, and
 Exit codes: 0 success, 1 usage error, 2 verification/convergence failure,
 3 resource limit.  Output is deterministic for a fixed argument list.
 
-Each invocation pays only for the command it runs: ``verify``, ``parity``
-and ``circle`` import their modules when they start (``circle`` with them
-numpy, which no other command loads).  The tabular commands write one row
-format: as CSV, piece by piece to stdout or ``--out`` (``tables`` one
-dense row at a time), or as JSON, dumped whole as one list of the same
-rows.
+Each invocation pays only for the command it runs: ``verify``, ``asym``,
+``parity`` and ``circle`` import their modules when they start (``circle``
+with them numpy, which no other command loads).  The tabular commands
+write one row format: as CSV, piece by piece to stdout or ``--out``
+(``tables`` one dense row at a time), or as JSON, dumped whole as one
+list of the same rows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import contextlib
 import json
 import sys
 
-from . import asymptotics, moments
+from . import moments
 from . import series as qs
 from .errors import ConvergenceError, ResourceLimitError
 
@@ -72,9 +72,6 @@ def _build_parser() -> _Parser:
             choices=(moments.GENERATING_FUNCTION, moments.COMBINATORIAL),
             default=moments.GENERATING_FUNCTION,
             help="crank N=1 column handling for table export"),
-        "--dtilde-variant": dict(
-            choices=asymptotics.VARIANTS, default="eta",
-            help="zeta(r-1) weight form in subleading constants"),
     }
 
     def command(name, help, *names):
@@ -100,7 +97,7 @@ def _build_parser() -> _Parser:
                           help="also write the JSON report to this path "
                                "(the text report still goes to stdout)")
     command("asym", "trend reports against predictions",
-            "--out", "--r", "--ladder", "--dtilde-variant")
+            "--out", "--r", "--ladder")
     p_circle = command("circle", "contour-integral reproduction",
                        "--out", "--format", "--r", "--ell", "--ladder")
     # json by default: csv emits the off-arc bound grid
@@ -221,6 +218,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_asym(args) -> int:
+    from . import asymptotics
+
     ladder = args.ladder
     _validate_ladder(ladder)
     if len(ladder) < 3:
@@ -232,8 +231,8 @@ def _cmd_asym(args) -> int:
     sym = {ell: moments.symmetrized_family(ell, orders, nmax) for ell in (1, 3)}
     reports = []
     for r in r_list:
-        model_c = asymptotics.build_model(r, 1, args.dtilde_variant)
-        model_r = asymptotics.build_model(r, 3, args.dtilde_variant)
+        model_c = asymptotics.build_model(r, 1)
+        model_r = asymptotics.build_model(r, 3)
         crank_all = moments.positive_from_symmetrized(sym[1], r)
         rank_all = moments.positive_from_symmetrized(sym[3], r)
         crank_vals = [crank_all[N] for N in ladder]

@@ -245,6 +245,12 @@ class TestUsage:
         assert code == 1
         assert "unrecognized arguments" in err
 
+    def test_dtilde_variant_flag_gone(self, capsys):
+        # asym reads no subleading constant, so it takes no variant flag
+        code, _, err = run_cli(capsys, "asym", "--dtilde-variant", "eta")
+        assert code == 1
+        assert "unrecognized arguments" in err
+
     def test_bad_int_list(self, capsys):
         assert run_cli(capsys, "asym", "--ladder", "a,b")[0] == 1
 
@@ -322,14 +328,14 @@ import contextlib, io, sys
 from crankrank import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, "numpy" in sys.modules, *[name for name in ("parity", "partitions",
-      "verification") if f"crankrank.{name}" in sys.modules])
+print(code, "numpy" in sys.modules, *[name for name in ("asymptotics", "parity",
+      "partitions", "verification") if f"crankrank.{name}" in sys.modules])
 """
 
 #: The optional package modules each command loads; every other command,
 #: and ``import crankrank.cli`` alone, loads none of them.
 _OPTIONAL_MODULES = {"verify": ["parity", "partitions", "verification"],
-                     "parity": ["parity"]}
+                     "asym": ["asymptotics"], "parity": ["parity"]}
 
 
 @pytest.mark.parametrize("argv, loads_numpy", [
