@@ -29,10 +29,11 @@ side by side, one integer per power of q with one slot per series:
 family.  A product (``ExactSeries.__mul__``) is the direct truncated
 Cauchy product, one pass per nonzero coefficient of its right factor;
 the identity suite multiplies by the sparse ``euler_function`` to check
-the division apart from both routes.  Complex floating-point evaluation of the same functions, with
-certified tail bounds, lives in the ``*_value`` functions; those sum the
-defining series directly and never go through the truncated integer
-expansions, so the two routes can be played against each other.
+the division apart from both routes.  Complex floating-point evaluation
+of the same functions, with certified tail bounds, lives in the
+``*_value`` functions; those sum the defining series directly and never
+go through the truncated integer expansions, so the two routes can be
+played against each other.
 Every power of q they need is built by multiplication, as a running
 product from term to term, never by a complex exp or power.  They take a
 complex point or a numpy array of points (the Euler product bounds each
