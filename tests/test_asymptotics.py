@@ -46,7 +46,10 @@ class TestModelConstants:
 
     def test_rho_parity(self):
         assert asy.build_model(3, 1).rho == 0.0
-        assert asy.build_model(4, 1).rho == 0.5
+        model = asy.build_model(4, 1)
+        assert model.rho == 0.5
+        with pytest.raises(AttributeError):
+            model.rho = 0.0
 
     def test_gamma_from_bessel_reduction(self):
         # replacing I_nu(x) by e^x/sqrt(2 pi x) in the Bessel-form leading
@@ -220,6 +223,11 @@ class TestTrend:
         assert -0.85 < rep.fitted_exponent < -0.15
         d = rep.as_dict()
         assert d["target"] == "mu" and len(d["ratios"]) == 4
+        assert set(d) == {"target", "r", "ell", "terms", "Ns", "exact_log",
+                          "predicted_log", "ratios", "decreasing",
+                          "fitted_exponent", "exponent_stderr"}
+        with pytest.raises(AttributeError):
+            rep.decreasing = False
 
     def test_two_term_variant_selection(self):
         # the decisive experiment for the subleading-constant form: with

@@ -29,6 +29,8 @@ class TestMLDecomposition:
         assert set(dec.alphas) == {6, 4, 2}
         dec = cm.ml_alphas(5)
         assert set(dec.alphas) == {5, 3, 1}
+        with pytest.raises(AttributeError):
+            dec.r = 6
 
     def test_range(self):
         with pytest.raises(ValueError):
@@ -208,6 +210,15 @@ class TestWrightIntegrals:
         rep = cm.wright_integrals(1, 3, 50)
         d = rep.as_dict()
         assert d["N"] == 50 and d["exact"] == str(rep.exact)
+        assert set(d) == {"N", "ell", "r", "main_arc", "error_arc", "exact",
+                          "relative_error", "arc_ratio", "panels",
+                          "quadrature_error_estimate"}
+        for arc in ("main_arc", "error_arc"):
+            assert [type(x) for x in d[arc]] == [float, float], arc
+        assert [type(x) for x in d["panels"]] == [int, int]
+        assert type(d["exact"]) is str
+        with pytest.raises(AttributeError):
+            rep.N = 100
 
     def test_window_enforced(self):
         with pytest.raises(ValueError):
@@ -288,6 +299,8 @@ class TestZagier:
                 direct = cm.sampled_sum(zf.fn, a, 0.05)
                 approx = cm.zagier_expansion(zf.taylor, zf.integral, a, 0.05, 5)
                 assert abs(direct - approx) < 1e-6, (zf.name, a)
+        with pytest.raises(AttributeError):
+            zf.integral = 0.0
 
     def test_residual_order_improves_with_terms(self):
         zf = cm.BUILTIN_FUNCTIONS[1]  # u e^{-u^2}

@@ -25,7 +25,10 @@ class TestPrimality:
 
 class TestFactorize:
     def test_small_composite(self):
-        assert pa.factorize(95).factors == ((5, 1), (19, 1))
+        fac = pa.factorize(95)
+        assert fac.factors == ((5, 1), (19, 1))
+        with pytest.raises(AttributeError):
+            fac.n = 96
 
     def test_prime(self):
         assert pa.factorize(23).factors == ((23, 1),)
@@ -104,6 +107,8 @@ class TestParityRows:
         assert row.modulus_argument == 95
         assert row.factorization == ((5, 1), (19, 1))
         assert not row.predicted_odd
+        with pytest.raises(AttributeError):
+            row.N = 5
 
     def test_each_modulus_factorized_once(self, monkeypatch):
         spt, ospt = mm.spt_ospt(80)

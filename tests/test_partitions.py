@@ -148,6 +148,8 @@ class TestAggregates:
     def test_four(self):
         agg = pt.brute_aggregates(4)
         assert (agg.spt, agg.ospt_strings, agg.durfee_sum) == (10, 2, 6)
+        with pytest.raises(AttributeError):
+            agg.spt = 0
 
     def test_one(self):
         agg = pt.brute_aggregates(1)

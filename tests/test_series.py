@@ -255,6 +255,8 @@ class TestComplexEvaluation:
         res = qs.euler_inverse_value(0j)
         assert res.value == 1
         assert res.tail_bound == 0
+        with pytest.raises(AttributeError):
+            res.value = 0
 
     def test_euler_matches_series_on_reals(self):
         series = qs.partition_series(80)

@@ -337,6 +337,8 @@ def test_symmetrized_failure_detection():
         "counterexample": {"kind": "rank", "r": "1", "N": "7",
                            "table": "21", "series": "18"},
     }
+    with pytest.raises(AttributeError):
+        bad.passed = True
 
 
 def test_even_moment_failure_detection():
