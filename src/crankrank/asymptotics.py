@@ -38,7 +38,7 @@ Both are implemented behind ``variant``; the numerical trend tests select
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 VARIANTS = ("eta", "shifted")
 
@@ -135,8 +135,7 @@ def log_bessel_i(nu: float, x: float) -> float:
     return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(g)
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
+class AsymptoticModel(NamedTuple):
     """Constant family for one moment order r and series side ell."""
 
     r: int
@@ -273,8 +272,7 @@ def predict_log(model: AsymptoticModel, target: str, N: int, terms: int = 1) -> 
     return lead + math.log1p(combined)
 
 
-@dataclass(frozen=True)
-class TrendReport:
+class TrendReport(NamedTuple):
     """Exact-versus-predicted comparison along a ladder of N values."""
 
     target: str
@@ -291,19 +289,10 @@ class TrendReport:
     exponent_stderr: float
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "r": self.r,
-            "ell": self.ell,
-            "terms": self.terms,
-            "Ns": list(self.Ns),
-            "exact_log": list(self.exact_log),
-            "predicted_log": list(self.predicted_log),
-            "ratios": list(self.ratios),
-            "fitted_exponent": self.fitted_exponent,
-            "exponent_stderr": self.exponent_stderr,
-            "decreasing": self.decreasing,
-        }
+        """Every field but ``residuals``."""
+        out = self._asdict()
+        del out["residuals"]
+        return out
 
 
 def _ols(xs, ys):

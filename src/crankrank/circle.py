@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,8 +45,7 @@ ML_LATTICE_CAP = 10**4
 # Partial-fraction decomposition of the sine-power kernel.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MLDecomposition:
+class MLDecomposition(NamedTuple):
     """Principal-part coefficients of (-2i sin(pi w))^(-r) at w = 0.
 
     ``alphas[j]`` (exact rationals) multiply (-2 pi i w)^(-j); only the
@@ -250,8 +249,7 @@ def appell_pole_deviation(ell: int, r: int, tau: complex, variant: str = "eta",
 # Wright-style contour integration.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(NamedTuple):
     """Numeric main/error arc integrals against an exact coefficient."""
 
     N: int
@@ -266,17 +264,12 @@ class QuadratureReport:
     quadrature_error_estimate: float
 
     def as_dict(self) -> dict:
+        """The fields, with the arcs as [re, im] and ``exact`` as text."""
         return {
-            "N": self.N,
-            "ell": self.ell,
-            "r": self.r,
+            **self._asdict(),
             "main_arc": [self.main_arc.real, self.main_arc.imag],
             "error_arc": [self.error_arc.real, self.error_arc.imag],
             "exact": str(self.exact),
-            "relative_error": self.relative_error,
-            "arc_ratio": self.arc_ratio,
-            "panels": list(self.panels),
-            "quadrature_error_estimate": self.quadrature_error_estimate,
         }
 
 
@@ -490,8 +483,7 @@ def sampled_sum(fn, a: float, t: float, tol: float = 1e-14,
     raise ConvergenceError(f"sampled sum did not settle in {max_terms} terms")
 
 
-@dataclass(frozen=True)
-class ZagierFunction:
+class ZagierFunction(NamedTuple):
     """A built-in test function with known Taylor data and integral."""
 
     name: str

@@ -11,8 +11,8 @@ factor numbers below 48000.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 _SMALL_TRIAL_LIMIT = 10**6
 
@@ -22,25 +22,29 @@ _SMALL_TRIAL_LIMIT = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A complete prime factorization, primes strictly increasing."""
-
+class _FactorizationFields(NamedTuple):
     n: int
     factors: tuple  # ((prime, exponent), ...)
 
-    def __post_init__(self):
+
+class Factorization(_FactorizationFields):
+    """A complete prime factorization, primes strictly increasing."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, factors: tuple):
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
                 raise ValueError("exponents must be positive")
             last = p
             prod *= p ** e
-        if prod != self.n:
-            raise ValueError(f"factors do not multiply back to {self.n}")
+        if prod != n:
+            raise ValueError(f"factors do not multiply back to {n}")
+        return super().__new__(cls, n, factors)
 
 
 def is_prime(n: int) -> bool:
@@ -164,8 +168,7 @@ def parity_from_factorization(fac: Factorization) -> bool:
     return e % 4 == 1 and p % 24 == 23
 
 
-@dataclass(frozen=True)
-class ParityRow:
+class ParityRow(NamedTuple):
     N: int
     modulus_argument: int          # 24N - 1
     factorization: tuple

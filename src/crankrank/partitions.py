@@ -21,7 +21,7 @@ once and tallies every statistic in that single pass.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 
@@ -29,8 +29,7 @@ from .errors import ResourceLimitError
 ENUMERATION_CAP = 80
 
 
-@dataclass(frozen=True)
-class BruteAggregates:
+class BruteAggregates(NamedTuple):
     """Statistic totals and histograms over all partitions of one integer.
 
     ``crank`` and ``rank`` map a statistic value to the number of

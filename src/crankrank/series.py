@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, ResourceLimitError
 
@@ -558,8 +557,7 @@ def ospt_series(nmax: int) -> ExactSeries:
 # Direct complex evaluation with certified tail bounds.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     """A floating-point evaluation (of q's shape) and its certified tail bound.
 
     The Euler product bounds each point on its own (an array of q's shape

@@ -17,8 +17,9 @@ are built once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import factorial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import moments, parity, partitions
 from . import series as qs
@@ -28,8 +29,7 @@ MOMENT_ORDER_MAX = 10
 SYMMETRIZED_ORDER_MAX = 6
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -44,24 +44,20 @@ class CheckResult:
         return out
 
 
-@dataclass
-class SuiteContext:
-    """Shared exact data for the verification checks."""
+class SuiteContext(SimpleNamespace):
+    """Shared exact data for the verification checks, built by
+    ``build_context``:
 
-    nmax: int
-    brute_nmax: int
-    crank_table: moments.CrankRankTable
-    rank_table: moments.CrankRankTable
-    partition_counts: list
-    pos_crank: list      # pos_crank[N][r], r = 0..MOMENT_ORDER_MAX
-    pos_rank: list
-    sym_crank: dict = field(default_factory=dict)   # r -> coefficient list
-    sym_rank: dict = field(default_factory=dict)
-    spt: list = field(default_factory=list)
-    ospt: list = field(default_factory=list)
-    # brute[N] = partitions.brute_aggregates(N) for N = 0..brute_nmax: the
-    # one enumeration of each N that every brute-force comparison reads
-    brute: list = field(default_factory=list)
+    - ``nmax``, ``brute_nmax``: the table order and the enumeration bound;
+    - ``crank_table``, ``rank_table``: ``moments.CrankRankTable`` of each kind;
+    - ``partition_counts``: p(N) for N = 0..nmax;
+    - ``pos_crank``, ``pos_rank``: ``pos_crank[N][r]``, r = 0..MOMENT_ORDER_MAX;
+    - ``sym_crank``, ``sym_rank``: r -> symmetrized coefficient list;
+    - ``spt``, ``ospt``: the two sequences for N = 0..nmax;
+    - ``brute``: ``brute[N] = partitions.brute_aggregates(N)`` for
+      N = 0..brute_nmax, the one enumeration of each N that every
+      brute-force comparison reads.
+    """
 
 
 def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:

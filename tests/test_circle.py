@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -241,8 +240,8 @@ class TestWrightIntegrals:
         cm._euler_at_nodes.cache_clear()
         cold = cm.wright_integrals(3, 2, 60)
         assert cm._euler_at_nodes.cache_info().hits == 0
-        for field in dataclasses.fields(cm.QuadratureReport):
-            assert getattr(warm, field.name) == getattr(cold, field.name), field.name
+        for field in cm.QuadratureReport._fields:
+            assert getattr(warm, field) == getattr(cold, field), field
 
     def test_euler_memo_is_read_only(self):
         value = cm._euler_at_nodes(60, 0.0, 0.02, 8)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -48,7 +47,7 @@ def _with_extra_monomial(ctx, kind, q0, m):
 
 
 def _replace_brute(ctx, N, **fields):
-    ctx.brute[N] = dataclasses.replace(ctx.brute[N], **fields)
+    ctx.brute[N] = ctx.brute[N]._replace(**fields)
 
 
 def _bump(values, index):
