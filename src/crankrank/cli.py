@@ -317,7 +317,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError, argparse.ArgumentTypeError) as exc:
+    # an OverflowError comes from an order or N chosen past double range
+    except (_UsageError, ValueError, OverflowError,
+            argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

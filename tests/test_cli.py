@@ -250,6 +250,18 @@ class TestUsage:
     def test_bad_int_list(self, capsys):
         assert run_cli(capsys, "asym", "--ladder", "a,b")[0] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["asym", "--ladder", "10,20,30", "--r", "171"],  # 171! as a float
+        ["circle", "--format", "csv", "--r", "3", "--ell", "1",
+         "--ladder", "10000000"],
+        ["circle", "--format", "csv", "--r", "400", "--ell", "1",
+         "--ladder", "50"],
+    ], ids=" ".join)
+    def test_out_of_float_range(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error: ")
+
     def test_resource_limit_exits_three(self, capsys):
         # refused from the size estimate, before the table is allocated
         code, out, err = run_cli(capsys, "tables", "--nmax", "1000000")
@@ -324,8 +336,9 @@ import contextlib, io, sys
 from crankrank import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, "numpy" in sys.modules, *[name for name in ("asymptotics", "parity",
-      "partitions", "verification") if f"crankrank.{name}" in sys.modules])
+print(code, "numpy" in sys.modules, "dataclasses" in sys.modules,
+      *[name for name in ("asymptotics", "parity", "partitions",
+                          "verification") if f"crankrank.{name}" in sys.modules])
 """
 
 #: The optional package modules each command loads; every other command,
@@ -350,7 +363,11 @@ def test_numpy_loaded_only_by_circle(argv, loads_numpy):
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           capture_output=True, text=True, env=env, check=True)
     modules = _OPTIONAL_MODULES.get(argv[0] if argv else None, [])
-    assert done.stdout.split() == ["0", str(loads_numpy), *modules]
+    code, numpy, dataclasses, *loaded = done.stdout.split()
+    assert [code, numpy, *loaded] == ["0", str(loads_numpy), *modules]
+    # no package record needs dataclasses; numpy's own imports are not pinned
+    if not loads_numpy:
+        assert dataclasses == "False"
 
 
 def test_root_exports_resolve():
