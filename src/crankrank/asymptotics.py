@@ -289,7 +289,6 @@ class TrendReport(NamedTuple):
     exponent_stderr: float
 
     def as_dict(self) -> dict:
-        """Every field but ``residuals``."""
         out = self._asdict()
         del out["residuals"]
         return out

@@ -264,7 +264,6 @@ class QuadratureReport(NamedTuple):
     quadrature_error_estimate: float
 
     def as_dict(self) -> dict:
-        """The fields, with the arcs as [re, im] and ``exact`` as text."""
         return {
             **self._asdict(),
             "main_arc": [self.main_arc.real, self.main_arc.imag],
