@@ -152,16 +152,15 @@ def _validate_ladder(ladder) -> None:
 def _cmd_tables(args) -> int:
     kinds = ("crank", "rank") if args.kind == "both" else (args.kind,)
     qs.check_dense_table(args.nmax)  # before any table is built
-    tables = [
-        moments.CrankRankTable.build(
-            kind, args.nmax,
-            args.convention if kind == "crank" else moments.GENERATING_FUNCTION)
-        for kind in kinds
-    ]
+    tables = [moments.CrankRankTable.build(kind, args.nmax) for kind in kinds]
+    combinatorial = args.convention == moments.COMBINATORIAL
     # the factorized tables are small; one kind's dense rows at a time
     _write_rows(args, "kind,n,m,coefficient", (
         [(table.kind, N, m, str(c))
-         for m, c in zip(range(-N, N + 1), row) if c]
+         for m, c in zip(range(-N, N + 1),
+                         moments.combinatorial_row(N, row)
+                         if combinatorial and table.kind == "crank" else row)
+         if c]
         for table in tables for N, row in enumerate(table.dense_rows())
     ))
     return 0

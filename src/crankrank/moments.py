@@ -4,12 +4,13 @@ Two independent routes to the same numbers live here:
 
 * the *table route*: the histogram M(m, N) of crank or rank values,
   kept as the sparse numerator columns of the bivariate generating
-  function times p(q) (``CrankRankTable``), with moments read off it as
-  weighted sums over m.  Every sum of one bulk accessor, for every N and
-  every order at once, comes from one packed division of the numerator
-  by (q;q)_inf (``series.BivariateSeries.weighted_sums``), with no
-  product.  The weights are the table's own (m^r, m^{2k},
-  C(m + floor((r-1)/2), r)), never the series route's basis change;
+  function and nothing else (``CrankRankTable``), with moments read off
+  it as weighted sums over m.  Every sum of one bulk accessor, for every
+  N and every order at once, comes from one packed division of the
+  numerator by (q;q)_inf (``series.BivariateSeries.weighted_sums``),
+  with neither p nor a product.  The weights are the table's own (m^r,
+  m^{2k}, C(m + floor((r-1)/2), r)), never the series route's basis
+  change;
 * the *series route*: read symmetrized positive moments directly as the
   integer coefficients of A_{ell,r}(q) / (q;q)_inf, A being
   ``series.appell_sum`` (ell=1 for crank, ell=3 for rank), and recover
@@ -30,11 +31,11 @@ products with the independently written ``euler_function``
 (``ExactSeries.__mul__``): p times it must give 1, and each symmetrized
 family times it must give back its Appell sums.
 
-Conventions: all moment computations use the raw generating-function
-histogram, including the anomalous crank column at N=1, which is the
-normalization under which the series route is exact.  The combinatorial
-convention (the q^1 crank column replaced by a single partition of crank
-zero) is available for table export only.
+Conventions: every table holds the raw generating-function histogram,
+including the anomalous crank column at N=1, which is the normalization
+under which the series route is exact.  The combinatorial convention
+(the q^1 crank column replaced by a single partition of crank zero) is
+applied to exported rows only, by ``combinatorial_row``.
 """
 
 from __future__ import annotations
@@ -73,74 +74,32 @@ class CrankRankTable(qs.BivariateSeries):
     """Exact histogram counts M(m, N) of crank or rank over partitions of N.
 
     The table is kept factorized (see ``series.BivariateSeries``): the
-    sparse numerator columns of the generating function and p(N).  Each
-    bulk accessor makes one ``weighted_sums`` call, which forms the sums
-    over m for all of its weights in one packed division by (q;q)_inf, so
-    no moment unpacks the histogram; the single-N accessors index that
-    output.  Dense rows, of length 2N+1 with index m+N, are built only
-    for row lookups (``rows``, ``distribution``) and for export by the
-    ``tables`` command.
+    sparse numerator columns of the generating function, to order nmax.
+    Each bulk accessor makes one ``weighted_sums`` call, which forms the
+    sums over m for all of its weights in one packed division by
+    (q;q)_inf, so no moment unpacks the histogram or builds p; the
+    single-N accessors index that output.  Dense rows, of length 2N+1
+    with index m+N, are built only for row lookups (``rows``,
+    ``distribution``) and for export by the ``tables`` command.
     Columns m and -m hold separately computed monomials, so row symmetry
     is a genuine check rather than a storage artifact.
     """
 
-    def __init__(self, kind: str, columns: dict, p: qs.ExactSeries,
-                 convention: str = GENERATING_FUNCTION):
+    def __init__(self, kind: str, columns: dict, nmax: int):
         if kind not in ("crank", "rank"):
             raise ValueError(f"kind must be 'crank' or 'rank', got {kind!r}")
-        if convention not in (GENERATING_FUNCTION, COMBINATORIAL):
-            raise ValueError(f"unknown convention {convention!r}")
-        if convention == COMBINATORIAL and kind != "crank":
-            raise ValueError("the combinatorial convention only applies to crank")
-        super().__init__(columns, p)
+        super().__init__(columns, nmax)
         self.kind = kind
-        self.convention = convention
 
     @classmethod
-    def build(cls, kind: str, nmax: int = DEFAULT_NMAX,
-              convention: str = GENERATING_FUNCTION) -> "CrankRankTable":
-        """Extract the table from the bivariate generating function.
-
-        With convention="combinatorial" (crank only) the N=1 row reads the
-        true count {0: 1} instead of {-1: 1, 0: -1, 1: 1}.
-        """
-        biv = qs.bivariate_series(kind, nmax)
-        return cls(kind, biv.columns, biv.p, convention)
-
-    def dense_row(self, N: int) -> list:
-        if N == 1 and self.convention == COMBINATORIAL:
-            return [0, 1, 0]
-        return super().dense_row(N)
-
-    def dense_rows(self) -> list:
-        rows = super().dense_rows()
-        if self.nmax >= 1 and self.convention == COMBINATORIAL:
-            rows[1] = [0, 1, 0]
-        return rows
+    def build(cls, kind: str, nmax: int = DEFAULT_NMAX) -> "CrankRankTable":
+        """Extract the table from the bivariate generating function."""
+        return cls(kind, qs.bivariate_series(kind, nmax).columns, nmax)
 
     @functools.cached_property
     def rows(self) -> list:
         """Every dense row, unpacked on first access and then kept."""
         return self.dense_rows()
-
-    def _check_row(self, N: int) -> None:
-        if not 0 <= N <= self.nmax:
-            raise ValueError(f"N={N} outside table range 0..{self.nmax}")
-
-    def distribution(self, N: int) -> dict:
-        """Nonzero histogram entries of row N as a map m -> count."""
-        self._check_row(N)
-        return self.row(N)
-
-    def weighted_sums(self, weights) -> list:
-        """``series.BivariateSeries.weighted_sums``, refused on the
-        combinatorial convention: every table moment passes through here."""
-        if self.convention != GENERATING_FUNCTION:
-            raise ValueError(
-                "moments are defined on the generating-function convention; "
-                "rebuild the table without the combinatorial patch"
-            )
-        return super().weighted_sums(weights)
 
     def positive_moment(self, r: int, N: int) -> int:
         """sum_{m>=1} m^r counts[N][m]; r=0 gives the positive-value count."""
@@ -197,6 +156,13 @@ class CrankRankTable(qs.BivariateSeries):
         full = self.full_moments(range(2, 2 * k_max + 1, 2))
         sums = [[0] * (self.nmax + 1), *full.values()]
         return [list(at_N) for at_N in zip(*sums)]
+
+
+def combinatorial_row(N: int, row: list) -> list:
+    """Dense crank row N in the combinatorial convention, for export: row 1,
+    the generating function's w^-1 - 1 + w, becomes the single partition
+    (1) of crank 0; every other row is returned as it is."""
+    return [0, 1, 0] if N == 1 else row
 
 
 def kind_for_ell(ell: int) -> str:

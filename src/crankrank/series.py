@@ -9,9 +9,9 @@ This module builds the q-expansions everything else consumes:
 * ``bivariate_series`` -- the two-variable crank and rank generating
   functions, kept factorized (``BivariateSeries``): the sparse numerator
   (q;q)_inf * F(w, q), one column per power of the statistic marker w,
-  together with p(N).  Sums over the powers of w, for any number of
+  and nothing else.  Sums over the powers of w, for any number of
   weights, are one packed division of the numerator by (q;q)_inf; dense
-  Laurent rows are unpacked only on request.
+  Laurent rows are unpacked, with the p they need, only on request.
 * ``appell_sum`` -- the one-sided Appell-type sums
   sum_{n>=1} (-1)^{n+1} q^{l*n^2/2 + (r/2+rho)n} / (1-q^n)^r,
   whose quotients by (q;q)_inf generate symmetrized positive moments.
@@ -26,14 +26,15 @@ numerator, and ``divide_packed`` divides many series in one pass, packed
 side by side, one integer per power of q with one slot per series:
 ``BivariateSeries.weighted_sums`` packs every weighted sum of a table,
 ``moments.symmetrized_family`` the Appell sums of every order of a
-family.  A product (``ExactSeries.__mul__``) is the direct truncated
-Cauchy product, one pass per nonzero coefficient of its right factor;
-the identity suite multiplies by the sparse ``euler_function`` to check
-the division apart from both routes.  Complex floating-point evaluation
-of the same functions, with certified tail bounds, lives in the
-``*_value`` functions; those sum the defining series directly and never
-go through the truncated integer expansions, so the two routes can be
-played against each other.
+family.  Both bound p(nmax) in their slot width by ``partition_bits``,
+so neither builds p.  A product (``ExactSeries.__mul__``) is the direct
+truncated Cauchy product, one pass per nonzero coefficient of its right
+factor; the identity suite multiplies by the sparse ``euler_function``
+to check the division apart from both routes.  Complex floating-point
+evaluation of the same functions, with certified tail bounds, lives in
+the ``*_value`` functions; those sum the defining series directly and
+never go through the truncated integer expansions, so the two routes
+can be played against each other.
 Every power of q they need is built by multiplication, as a running
 product from term to term, never by a complex exp or power.  They take a
 complex point or a numpy array of points (the Euler product bounds each
@@ -114,24 +115,21 @@ class BivariateSeries:
     """A two-variable generating function kept factorized: Num(w, q) / (q;q)_inf.
 
     ``columns[m]`` is the coefficient of w^m in the sparse numerator Num,
-    a map q-exponent -> nonzero integer in increasing q-exponent order;
-    ``p`` is 1/(q;q)_inf (``partition_series``) to the same order.  The
-    coefficient of w^m q^n of the function itself is therefore
-    sum_{q0 <= n} columns[m][q0] * p(n - q0).  Sums over m weighted by
-    any number of weights w(m) are one packed division by (q;q)_inf
-    (``weighted_sums``); dense Laurent rows are unpacked only on request
-    (``dense_row``, ``dense_rows``).
+    a map q-exponent -> nonzero integer in increasing q-exponent order,
+    truncated at q^nmax.  The coefficient of w^m q^n of the function
+    itself is therefore sum_{q0 <= n} columns[m][q0] p(n - q0), with p
+    the partition counts.  Sums over m weighted by any number of weights
+    w(m) are one packed division by (q;q)_inf (``weighted_sums``), which
+    needs no p; dense Laurent rows are unpacked only on request
+    (``dense_row``, ``distribution``, ``dense_rows``), each building the p
+    it reads.
     """
 
-    __slots__ = ("columns", "p")
+    __slots__ = ("columns", "nmax")
 
-    def __init__(self, columns: dict, p: ExactSeries):
+    def __init__(self, columns: dict, nmax: int):
         self.columns = columns
-        self.p = p
-
-    @property
-    def nmax(self) -> int:
-        return self.p.nmax
+        self.nmax = nmax
 
     def weighted_sums(self, weights) -> list:
         """[sum_m w(m) (coefficient series of w^m) for w in weights], each a
@@ -145,11 +143,11 @@ class BivariateSeries:
         columns[m][q0] p(N - q0), the wanted sum, from slot j.
 
         Only the slots must fit.  p is positive and nondecreasing, so
-        p(N - q0) <= p(nmax), and whatever the columns,
-        |T_j(N)| <= p(nmax) * max |w| * sum_{m, q0} |columns[m][q0]|, with
-        max |w| taken over every weight and column; that is below
-        2^(bits(p(nmax)) + bits(max |w|) + bits(sum |c|)), and B is one
-        bit more, so |T_j(N)| < X/2.
+        p(N - q0) <= p(nmax) < 2^partition_bits(nmax), and whatever the
+        columns, |T_j(N)| <= p(nmax) * max |w| * sum_{m, q0}
+        |columns[m][q0]|, with max |w| taken over every weight and column;
+        that is below 2^(partition_bits(nmax) + bits(max |w|) +
+        bits(sum |c|)), and B is one bit more, so |T_j(N)| < X/2.
         """
         weights = list(weights)
         count = len(weights)
@@ -161,7 +159,7 @@ class BivariateSeries:
                   default=0)
         total = sum(map(abs, chain.from_iterable(
             [col.values() for col in self.columns.values()])))
-        bits = (self.p.coeffs[-1].bit_length() + top.bit_length()
+        bits = (partition_bits(self.nmax) + top.bit_length()
                 + total.bit_length() + 1)
         acc = [0] * (self.nmax + 1)
         while table:  # each column's weights are dropped once packed
@@ -171,9 +169,15 @@ class BivariateSeries:
                 acc[q0] += c * packed
         return divide_packed(acc, count, bits)
 
+    def _check_row(self, n: int) -> None:
+        if not 0 <= n <= self.nmax:
+            raise ValueError(f"N={n} outside table range 0..{self.nmax}")
+
     def dense_row(self, n: int) -> list:
-        """The q^n coefficient as a dense list of 2n+1 integers, index m+n."""
-        p = self.p.coeffs
+        """The q^n coefficient as a dense list of 2n+1 integers, index m+n,
+        for 0 <= n <= nmax (ValueError otherwise)."""
+        self._check_row(n)
+        p = partition_series(n).coeffs
         row = [0] * (2 * n + 1)
         for m in range(-n, n + 1):
             for q0, c in self.columns.get(m, {}).items():
@@ -181,6 +185,10 @@ class BivariateSeries:
                     break
                 row[m + n] += c * p[n - q0]
         return row
+
+    def distribution(self, n: int) -> dict:
+        """Nonzero entries of the q^n coefficient as a map m -> value."""
+        return {m - n: c for m, c in enumerate(self.dense_row(n)) if c}
 
     def dense_rows(self) -> list:
         """Every dense row 0..nmax, monomial by monomial: each numerator
@@ -191,7 +199,7 @@ class BivariateSeries:
         """
         nmax = self.nmax
         check_dense_table(nmax)
-        p = self.p.coeffs
+        p = partition_series(nmax).coeffs
         scaled = {}  # c -> c * p, one list per distinct numerator coefficient
         rows = [[0] * (2 * N + 1) for N in range(nmax + 1)]
         for m, col in self.columns.items():
@@ -201,10 +209,6 @@ class BivariateSeries:
                     N = q0 + j
                     rows[N][m + N] += cp[j]
         return rows
-
-    def row(self, n: int) -> dict:
-        """Nonzero entries of the q^n coefficient as a map m -> value."""
-        return {m - n: c for m, c in enumerate(self.dense_row(n)) if c}
 
     def collapse_marker(self) -> ExactSeries:
         """Set w = 1, i.e. sum each Laurent row."""
@@ -465,22 +469,21 @@ def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
     The coefficient of w^m q^N counts partitions of N with crank (or rank)
     equal to m, in the raw generating-function normalization.  For the
     crank that means the q^1 row reads w^-1 - 1 + w rather than the
-    combinatorial single partition; downstream consumers decide whether to
-    patch that column.  It is stored factorized, as the sparse numerator
-    of ``numerator_entries`` and p (see ``BivariateSeries``): O(nmax log
-    nmax) monomials and nmax+1 partition counts, whose size is estimated
-    against ``TABLE_BYTES_LIMIT`` before either is built.
+    combinatorial single partition; table export patches that column
+    (``moments.combinatorial_row``).  It is stored factorized, as the
+    sparse numerator of ``numerator_entries`` alone (see
+    ``BivariateSeries``): O(nmax log nmax) monomials, whose size is
+    estimated against ``TABLE_BYTES_LIMIT`` before any is built.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     # about 100 bytes per monomial (a dict slot with its share of the hash
-    # table, and the int key), and nmax+1 entries of p; at nmax=2000 the
-    # crank table is estimated at 3.5 MB and holds 3.1 MB (4.9 MB peak)
-    _refuse_over_limit(
-        f"a factorized {kind} table to nmax={nmax}",
-        _numerator_size(kind, nmax) * 100 + (nmax + 1) * _entry_bytes(nmax))
+    # table, and the int key); at nmax=2000 the crank table is estimated
+    # at 3.4 MB and holds 3.0 MB (4.9 MB peak)
+    _refuse_over_limit(f"a factorized {kind} table to nmax={nmax}",
+                       _numerator_size(kind, nmax) * 100)
     return BivariateSeries(numerator_columns(numerator_entries(kind, nmax)),
-                           partition_series(nmax))
+                           nmax)
 
 
 def _appell_exponent(ell: int, r: int, n: int) -> int:

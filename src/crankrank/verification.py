@@ -68,6 +68,8 @@ def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
         brute_nmax = min(nmax, DEFAULT_BRUTE_NMAX)
     # at least N=1, which the crank anomalous-column check reads
     brute_nmax = max(1, min(brute_nmax, nmax, partitions.ENUMERATION_CAP))
+    # the tables build no p, so this is the run's one recurrence for it
+    partition_counts = qs.partition_series(nmax).coeffs
     crank_table = moments.CrankRankTable.build("crank", nmax)
     rank_table = moments.CrankRankTable.build("rank", nmax)
     orders = range(1, MOMENT_ORDER_MAX + 1)
@@ -79,7 +81,7 @@ def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
         brute_nmax=brute_nmax,
         crank_table=crank_table,
         rank_table=rank_table,
-        partition_counts=crank_table.p.coeffs,
+        partition_counts=partition_counts,
         pos_crank=crank_table.positive_moments_upto(MOMENT_ORDER_MAX),
         pos_rank=rank_table.positive_moments_upto(MOMENT_ORDER_MAX),
         sym_crank=sym_crank,
@@ -126,11 +128,11 @@ def check_tables_vs_brute(ctx: SuiteContext) -> list:
         for kind, table, start in (("crank", ctx.crank_table, 2),
                                    ("rank", ctx.rank_table, 0))
     ]
-    # the documented anomalous column
+    # the documented anomalous column, its combinatorial form as exported
+    exported = moments.combinatorial_row(1, ctx.crank_table.dense_row(1))
     column = {
         "generating_function": ctx.crank_table.distribution(1),
-        "combinatorial": moments.CrankRankTable.build(
-            "crank", 1, moments.COMBINATORIAL).distribution(1),
+        "combinatorial": {m - 1: c for m, c in enumerate(exported) if c},
         "raw": ctx.brute[1].crank,
     }
     anomaly_ok = (

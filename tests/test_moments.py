@@ -17,9 +17,12 @@ class TestTableBuild:
     def test_anomalous_column_generating_function(self, small_tables):
         assert small_tables["crank"].distribution(1) == {-1: 1, 0: -1, 1: 1}
 
-    def test_anomalous_column_combinatorial(self):
-        table = mm.CrankRankTable.build("crank", 3, mm.COMBINATORIAL)
-        assert table.distribution(1) == {0: 1}
+    def test_anomalous_column_combinatorial(self, small_tables):
+        # the table keeps the generating-function row; export patches row 1
+        table = small_tables["crank"]
+        assert mm.combinatorial_row(1, table.dense_row(1)) == [0, 1, 0]
+        row = table.dense_row(2)
+        assert mm.combinatorial_row(2, row) is row
         assert table.distribution(2) == pt.brute_distribution(2, "crank")
 
     def test_rank_n1(self, small_tables):
@@ -30,10 +33,6 @@ class TestTableBuild:
         for kind in ("crank", "rank"):
             for N in range(41):
                 assert sum(small_tables[kind].rows[N]) == p[N]
-
-    def test_combinatorial_rank_rejected(self):
-        with pytest.raises(ValueError):
-            mm.CrankRankTable.build("rank", 5, mm.COMBINATORIAL)
 
     def test_out_of_range(self, small_tables):
         with pytest.raises(ValueError):
@@ -73,19 +72,6 @@ class TestMoments:
         for N in (0, 1, 7, 23, 40):
             for r in range(5):
                 assert bulk[N][r] == small_tables["crank"].positive_moment(r, N)
-
-    def test_combinatorial_moments_rejected(self):
-        # every table moment, bulk or single-N, is refused on this convention
-        table = mm.CrankRankTable.build("crank", 4, mm.COMBINATORIAL)
-        for moments in (lambda: table.positive_moment(1, 2),
-                        lambda: table.positive_moments_upto(3),
-                        lambda: table.full_even_moments_upto(2),
-                        lambda: table.full_moments([2]),
-                        lambda: table.full_moment(2, 3),
-                        lambda: table.symmetrized_moments([1, 2]),
-                        lambda: table.symmetrized_moment(1, 3)):
-            with pytest.raises(ValueError, match="generating-function"):
-                moments()
 
 
 class TestSymmetrized:

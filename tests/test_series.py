@@ -186,19 +186,25 @@ class TestPackedDivision:
 class TestBivariateSeries:
     def test_crank_anomalous_column(self):
         biv = qs.bivariate_series("crank", 4)
-        assert biv.row(1) == {-1: 1, 0: -1, 1: 1}
+        assert biv.distribution(1) == {-1: 1, 0: -1, 1: 1}
 
     def test_crank_q4(self):
         biv = qs.bivariate_series("crank", 4)
-        assert biv.row(4) == {-4: 1, -2: 1, 0: 1, 2: 1, 4: 1}
+        assert biv.distribution(4) == {-4: 1, -2: 1, 0: 1, 2: 1, 4: 1}
 
     def test_rank_q4(self):
         biv = qs.bivariate_series("rank", 4)
-        assert biv.row(4) == {-3: 1, -1: 1, 0: 1, 1: 1, 3: 1}
+        assert biv.distribution(4) == {-3: 1, -1: 1, 0: 1, 1: 1, 3: 1}
 
     def test_constant_row(self):
         for kind in ("crank", "rank"):
-            assert qs.bivariate_series(kind, 3).row(0) == {0: 1}
+            biv = qs.bivariate_series(kind, 3)
+            assert biv.distribution(0) == {0: 1}
+            # rows 0..nmax only: past nmax a row would be cut at the
+            # numerator's order
+            for n in (-1, 4):
+                with pytest.raises(ValueError, match="outside table range"):
+                    biv.distribution(n)
 
     @pytest.mark.parametrize("kind", ["crank", "rank"])
     def test_collapse_and_symmetry(self, kind):
@@ -211,7 +217,7 @@ class TestBivariateSeries:
         biv = qs.bivariate_series(kind, 25)
         start = 2 if kind == "crank" else 0
         for n in range(start, 26):
-            assert biv.row(n) == partitions.brute_distribution(n, kind)
+            assert biv.distribution(n) == partitions.brute_distribution(n, kind)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """The factorized table route against the dense loops and the products it
 replaced.
 
-``CrankRankTable`` keeps the crank/rank histogram as sparse numerator
-columns times p(q) and forms every sum over m of one kind in one packed
+``CrankRankTable`` keeps the crank/rank histogram as its sparse numerator
+columns alone and forms every sum over m of one kind in one packed
 division by (q;q)_inf (``BivariateSeries.weighted_sums``).  The references
 below are the routes as they stood before: the dense one, every numerator
 monomial spread over a dense (nmax+1)-row histogram with each moment a
@@ -89,7 +89,7 @@ def product_reference(biv, weight):
     for m, col in biv.columns.items():
         for q0, c in col.items():
             acc[q0] += weight(m) * c
-    return (qs.ExactSeries(acc) * biv.p).coeffs
+    return (qs.ExactSeries(acc) * qs.partition_series(biv.nmax)).coeffs
 
 
 SLOT_MAX = 2**200
@@ -141,8 +141,7 @@ def test_weighted_sums_on_arbitrary_columns(data, nmax, specs):
     entries = data.draw(st.lists(st.tuples(
         st.integers(0, nmax), st.integers(SPAN[0], SPAN[-1]),
         st.integers(-2**80, 2**80) | st.sampled_from([1, -1])), max_size=60))
-    biv = qs.BivariateSeries(qs.numerator_columns(entries),
-                             qs.partition_series(nmax))
+    biv = qs.BivariateSeries(qs.numerator_columns(entries), nmax)
     weights = [weight_function(spec) for spec in specs]
     assert biv.weighted_sums(weights) == [
         product_reference(biv, weight) for weight in weights]
@@ -151,9 +150,12 @@ def test_weighted_sums_on_arbitrary_columns(data, nmax, specs):
 
 def test_weighted_sums_at_the_slot_bound():
     # one column 3 q^0 and p(3) = 3: T_j(3) = 9 w_j attains the bound
-    # p(nmax) max|w| sum|c|, and |9 (2^200 - 1)| > 2^203, so a slot one bit
-    # narrower than bits(3) + bits(2^200 - 1) + bits(3) + 1 = 205 overflows
-    biv = qs.BivariateSeries({0: {0: 3}}, qs.partition_series(3))
+    # p(nmax) max|w| sum|c| that the slot width rests on, with neighbours
+    # of opposite sign.  |9 (2^200 - 1)| > 2^203, so a slot needs 205 bits;
+    # it gets partition_bits(3) + bits(2^200 - 1) + bits(3) + 1 = 212, the
+    # 9 bits of partition_bits(3) being 7 more than bits(p(3))
+    assert qs.partition_bits(3) == 9
+    biv = qs.BivariateSeries({0: {0: 3}}, 3)
     top = 2**200 - 1
     weights = [(lambda m, w=w: w) for w in (top, -top, -top, top, 1, -top)]
     sums = biv.weighted_sums(weights)
@@ -182,14 +184,13 @@ def test_factorized_table_matches_dense_reference(kind, nmax):
 
 @pytest.mark.parametrize("nmax", [1, 2, 7])
 def test_combinatorial_n1_row(nmax, capsys):
-    table = mm.CrankRankTable.build("crank", nmax, mm.COMBINATORIAL)
+    # the table keeps the generating-function row; export patches row 1 only
     rows = dense_reference("crank", nmax)
     assert rows[1] == [1, -1, 1]
+    assert mm.CrankRankTable.build("crank", nmax).rows == rows
+    exported = [mm.combinatorial_row(N, row) for N, row in enumerate(rows)]
     rows[1] = [0, 1, 0]
-    assert table.rows == rows
-    assert table.dense_rows() == rows
-    assert table.distribution(1) == {0: 1}
-    assert table.dense_row(1) == [0, 1, 0]
+    assert exported == rows
     assert cli.main(["tables", "--nmax", str(nmax),
                      "--convention", "combinatorial"]) == 0
     assert [line for line in capsys.readouterr().out.splitlines()
@@ -213,8 +214,7 @@ def test_monomial_count_without_enumeration(kind, nmax):
 def test_first_asymmetric_row_is_lowest_differing_exponent():
     # C_m - C_{-m} = (column m - column -m) * p, and p starts with 1
     entries = [*qs.numerator_entries("rank", 30), (9, 4, 1), (12, -2, 1)]
-    table = qs.BivariateSeries(qs.numerator_columns(entries),
-                               qs.partition_series(30))
+    table = qs.BivariateSeries(qs.numerator_columns(entries), 30)
     rows = table.dense_rows()
     first = next(N for N, row in enumerate(rows) if row != row[::-1])
     assert table.first_asymmetric_row() == first == 9
@@ -222,7 +222,7 @@ def test_first_asymmetric_row_is_lowest_differing_exponent():
 
 def test_dense_limit_applies_to_unpacking_only(monkeypatch):
     # a table whose dense rows are over the limit still builds and sums:
-    # at nmax=50 the dense estimate is about 102 kB, the factorized one 39 kB
+    # at nmax=50 the dense estimate is about 102 kB, the factorized one 37 kB
     table = mm.CrankRankTable.build("rank", 50)
     monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 50_000)
     assert (mm.CrankRankTable.build("rank", 50).full_moments([2])
@@ -238,7 +238,8 @@ def test_dense_limit_applies_to_unpacking_only(monkeypatch):
 def test_factorized_limit_refuses_before_building(monkeypatch):
     monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 10_000)
     built = []
-    monkeypatch.setattr(qs, "partition_series", lambda n: built.append(n))
+    monkeypatch.setattr(qs, "numerator_entries",
+                        lambda *args: built.append(args))
     with pytest.raises(ResourceLimitError, match="factorized crank table to nmax=200"):
         mm.CrankRankTable.build("crank", 200)
     assert built == []
@@ -250,7 +251,7 @@ def test_factorized_limit_refuses_before_building(monkeypatch):
     (["moments", "--nmax", "200", "--variant", "full"], "factorized crank table"),
 ], ids=["tables-dense", "full-fits", "full-factorized"])
 def test_cli_limits_by_layout(argv, refused, capsys, monkeypatch):
-    # between the factorized (crank 50 kB) and dense (102 kB) estimates at nmax=50
+    # between the factorized (crank 48 kB) and dense (102 kB) estimates at nmax=50
     monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 60_000)
     built = []
     build = mm.CrankRankTable.build

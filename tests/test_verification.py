@@ -42,7 +42,7 @@ def _with_extra_monomial(ctx, kind, q0, m):
     """
     entries = [*qs.numerator_entries(kind, ctx.nmax), (q0, m, 1)]
     table = moments.CrankRankTable(kind, qs.numerator_columns(entries),
-                                   qs.partition_series(ctx.nmax))
+                                   ctx.nmax)
     setattr(ctx, f"{kind}_table", table)
 
 
@@ -68,7 +68,7 @@ def _rank_plus_q3(biv, kind, nmax):
     if kind != "rank":
         return biv
     entries = [*qs.numerator_entries(kind, nmax), (3, 0, 1)]
-    return qs.BivariateSeries(qs.numerator_columns(entries), biv.p)
+    return qs.BivariateSeries(qs.numerator_columns(entries), nmax)
 
 
 def _basis_r4_shifted(coeffs, r):
@@ -373,15 +373,19 @@ def test_reconciliation_failure_detection():
     assert results["basis-change-polynomial"].passed
 
 
-def test_context_builds_partition_counts_once_per_table(monkeypatch):
-    # partition_counts is the crank table's p, not a third recurrence run
+def test_context_builds_partition_counts_once(monkeypatch):
+    # partition_counts is the run's one recurrence; no table builds p
     built = []
     real = qs.partition_series
     monkeypatch.setattr(qs, "partition_series",
                         lambda *args: built.append(args) or real(*args))
     ctx = vr.build_context(30, 10)
-    assert built == [(30,), (30,)]
+    assert built == [(30,)]
     assert ctx.partition_counts == real(30).coeffs
+    built.clear()
+    moments.CrankRankTable.build("crank", 30)
+    qs.bivariate_series("rank", 30)
+    assert built == []
 
 
 def test_brute_cap_respected():
