@@ -109,12 +109,19 @@ def _build_parser() -> _Parser:
 
 @contextlib.contextmanager
 def _writer(out_path):
-    """stdout, or the file ``out_path``, for output written piece by piece."""
+    """stdout, or the file ``out_path``, for output written piece by piece.
+
+    A file that cannot be opened is a usage error; a failed write is not."""
     if out_path is None:
         yield sys.stdout
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot open --out {out_path}: "
+                          f"{exc.strerror or exc}") from exc
+    with fh:
+        yield fh
 
 
 def _emit(text: str, out_path) -> None:
@@ -145,6 +152,8 @@ def _write_rows(args, header: str, blocks) -> None:
 
 
 def _validate_ladder(ladder) -> None:
+    if min(ladder) < 1:
+        raise _UsageError(f"ladder values must be >= 1, got {ladder}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise _UsageError(f"ladder must be strictly increasing, got {ladder}")
 
@@ -203,15 +212,17 @@ def _cmd_spt_ospt(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verification
 
-    results = verification.run_suite(args.nmax)
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        line = f"{status} {res.name}: {res.detail}"
-        if res.counterexample:
-            line += f" | first counterexample: {res.counterexample}"
-        print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # --out is opened first, so a path that cannot be opened stops the
+    # command before the suite runs; the text report goes to stdout
+    with _writer(args.out) as fh:
+        results = verification.run_suite(args.nmax)
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            line = f"{status} {res.name}: {res.detail}"
+            if res.counterexample:
+                line += f" | first counterexample: {res.counterexample}"
+            print(line)
+        if args.out is not None:
             fh.write(verification.report_json(results))
     return 0 if all(r.passed for r in results) else 2
 

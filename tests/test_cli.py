@@ -251,6 +251,41 @@ class TestUsage:
         assert run_cli(capsys, "asym", "--ladder", "a,b")[0] == 1
 
     @pytest.mark.parametrize("argv", [
+        ["asym", "--ladder=-5,1,2"],
+        ["asym", "--ladder=-1,1,2"],
+        ["circle", "--ladder=0,50"],
+    ], ids=" ".join)
+    def test_ladder_below_one(self, capsys, monkeypatch, argv):
+        # refused before anything is built, not read from the list's end
+        built = []
+        monkeypatch.setattr(moments, "symmetrized_family",
+                            lambda *args: built.append(args))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, built) == (1, "", [])
+        ladder = argv[1].split("=")[1].split(",")
+        assert err == ("usage error: ladder values must be >= 1, got "
+                       f"[{', '.join(ladder)}]\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--nmax", "3"],
+        ["moments", "--nmax", "3"],
+        ["spt-ospt", "--nmax", "3"],
+        ["verify", "--nmax", "5"],
+        ["asym", "--ladder", "20,30,40", "--r", "1"],
+        ["circle", "--format", "csv", "--r", "3", "--ell", "1", "--ladder", "50"],
+        ["parity", "--nmax", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_out_cannot_be_opened(self, capsys, monkeypatch, tmp_path, argv):
+        # verify refuses before its suite runs, so stdout stays empty
+        monkeypatch.setattr(verification, "run_suite",
+                            lambda *args: pytest.fail("suite ran"))
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: cannot open --out {path}: ")
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["asym", "--ladder", "10,20,30", "--r", "171"],  # 171! as a float
         ["circle", "--format", "csv", "--r", "3", "--ell", "1",
          "--ladder", "10000000"],
