@@ -68,13 +68,14 @@ def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
         brute_nmax = min(nmax, DEFAULT_BRUTE_NMAX)
     # at least N=1, which the crank anomalous-column check reads
     brute_nmax = max(1, min(brute_nmax, nmax, partitions.ENUMERATION_CAP))
-    # the tables build no p, so this is the run's one recurrence for it
-    partition_counts = qs.partition_series(nmax).coeffs
     crank_table = moments.CrankRankTable.build("crank", nmax)
     rank_table = moments.CrankRankTable.build("rank", nmax)
     orders = range(1, MOMENT_ORDER_MAX + 1)
     sym_crank = moments.symmetrized_family(1, orders, nmax)
     sym_rank = moments.symmetrized_family(3, orders, nmax)
+    # the run's one p, built last: the tables and the families, each list
+    # of which outweighs p, refuse an oversized nmax before it is built
+    partition_counts = qs.partition_series(nmax).coeffs
     spt, ospt = moments.spt_ospt_from_symmetrized(sym_crank, sym_rank)
     return SuiteContext(
         nmax=nmax,

@@ -297,9 +297,12 @@ class TestUsage:
         assert code == 1
         assert err.startswith("usage error: ")
 
-    def test_resource_limit_exits_three(self, capsys):
-        # refused from the size estimate, before the table is allocated
-        code, out, err = run_cli(capsys, "tables", "--nmax", "1000000")
+    @pytest.mark.parametrize("command", ["tables", "verify"])
+    def test_resource_limit_exits_three(self, capsys, monkeypatch, command):
+        # refused from the size estimate, before the table or p is allocated
+        monkeypatch.setattr(qs, "partition_series",
+                            lambda *args: pytest.fail("p was built"))
+        code, out, err = run_cli(capsys, command, "--nmax", "1000000")
         assert code == 3
         assert out == ""
         assert err.startswith("resource limit: ")
