@@ -297,15 +297,15 @@ class TestUsage:
         assert code == 1
         assert err.startswith("usage error: ")
 
-    @pytest.mark.parametrize("command", ["tables", "verify"])
-    def test_resource_limit_exits_three(self, capsys, monkeypatch, command):
+    def test_resource_limit_exits_three(self, capsys, monkeypatch):
         # refused from the size estimate, before the table or p is allocated
         monkeypatch.setattr(qs, "partition_series",
                             lambda *args: pytest.fail("p was built"))
-        code, out, err = run_cli(capsys, command, "--nmax", "1000000")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("resource limit: ")
+        for command in ("tables", "verify"):
+            code, out, err = run_cli(capsys, command, "--nmax", "1000000")
+            assert code == 3
+            assert out == ""
+            assert err.startswith("resource limit: ")
 
 
 class TestDeterminism:
