@@ -238,11 +238,14 @@ def _cmd_asym(args) -> int:
     nmax = max(ladder)
     # ospt needs orders 1 and 2 even when --r asks for less
     orders = range(1, max(r_list[-1], 2) + 1)
+    # an order is refused before any family is built: first by the size
+    # estimate, cheap at any r, then by the models, which take r!
+    qs.check_quotient_family(orders, nmax)
+    models = {r: (asymptotics.build_model(r, 1), asymptotics.build_model(r, 3))
+              for r in r_list}
     sym = {ell: moments.symmetrized_family(ell, orders, nmax) for ell in (1, 3)}
     reports = []
-    for r in r_list:
-        model_c = asymptotics.build_model(r, 1)
-        model_r = asymptotics.build_model(r, 3)
+    for r, (model_c, model_r) in models.items():
         crank_all = moments.positive_from_symmetrized(sym[1], r)
         rank_all = moments.positive_from_symmetrized(sym[3], r)
         crank_vals = [crank_all[N] for N in ladder]

@@ -41,7 +41,6 @@ applied to exported rows only, by ``combinatorial_row``.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from math import comb, factorial
 
 from . import series as qs
@@ -215,55 +214,37 @@ def symmetrized_series(ell: int, r: int, nmax: int) -> list:
     return symmetrized_family(ell, (r,), nmax)[r]
 
 
-def _binomial_basis_polynomial(ell: int) -> list:
-    """Coefficients (as Fractions, ascending) of m -> C(m + floor((ell-1)/2), ell)."""
-    if ell == 0:
-        return [Fraction(1)]
-    off = (ell - 1) // 2
-    poly = [Fraction(1)]
-    for i in range(ell):
-        shift = off - i
-        poly = [Fraction(0)] + poly
-        for k in range(len(poly) - 1):
-            poly[k] += shift * poly[k + 1]
-    return [c / factorial(ell) for c in poly]
-
-
 def basis_change_coeffs(r: int) -> list:
     """Integers a_0..a_{r-1} with m^r = r! C(m+floor((r-1)/2), r) + sum a_l C(m+floor((l-1)/2), l).
 
-    Solved by triangular elimination in the binomial basis over exact
-    rationals; a non-integral solution would indicate a convention bug and
-    raises AssertionError.  Consequently the ordinary positive moments
-    decompose over the symmetrized ones with these weights.  a_0 is always
-    0: at m = 0 the left side and every basis element with l >= 1,
-    C(floor((l-1)/2), l), vanish while the l = 0 element is 1.  So the
-    positive-value count never enters the decomposition.
+    Newton interpolation of m^r on the central nodes x_0, x_1, ... =
+    0, 1, -1, 2, -2, ...: the basis element B_l(m) = C(m + floor((l-1)/2), l)
+    vanishes at x_0..x_{l-1} and is 1 at x_l, so B_l = B_{l-1} (m - x_{l-1}) / l
+    and the coefficients solve a unit lower-triangular integer system,
+    a_j = x_j^r - sum_{l<j} a_l B_l(x_j) for j = 0..r, with no division
+    except the exact ones of that product.  Its last step must give
+    a_r = r!, the leading coefficient of m^r; anything else would indicate
+    a convention bug and raises AssertionError.  Consequently the ordinary
+    positive moments decompose over the symmetrized ones with these weights.
+    a_0 is always 0: at m = 0 the left side and every basis element with
+    l >= 1, C(floor((l-1)/2), l), vanish while the l = 0 element is 1.  So
+    the positive-value count never enters the decomposition.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    # target polynomial m^r minus r! * (leading basis element)
-    target = [Fraction(0)] * (r + 1)
-    target[r] = Fraction(1)
-    lead = _binomial_basis_polynomial(r)
-    fact = factorial(r)
-    for k, c in enumerate(lead):
-        target[k] -= fact * c
-    coeffs = [0] * r
-    for ell in range(r - 1, -1, -1):
-        c = target[ell] * factorial(ell)
-        if c.denominator != 1:
-            raise AssertionError(
-                f"non-integral basis-change coefficient a_{ell} = {c} for r={r}"
-            )
-        coeffs[ell] = int(c)
-        if c:
-            basis = _binomial_basis_polynomial(ell)
-            for k, b in enumerate(basis):
-                target[k] -= c * b
-    if any(target):
-        raise AssertionError(f"basis change failed to terminate for r={r}")
-    return coeffs
+    nodes = [(j + 1) // 2 if j % 2 else -(j // 2) for j in range(r + 1)]
+    coeffs = []
+    for x in nodes:
+        value, basis = x ** r, 1
+        for l, a in enumerate(coeffs):
+            value -= a * basis
+            basis = basis * (x - nodes[l]) // (l + 1)
+        coeffs.append(value)
+    if coeffs[r] != factorial(r):
+        raise AssertionError(
+            f"basis change gives a_{r} = {coeffs[r]} for r={r}, not {r}!"
+        )
+    return coeffs[:r]
 
 
 def positive_from_symmetrized(sym: dict, r: int) -> list:

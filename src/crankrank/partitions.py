@@ -100,8 +100,11 @@ def crank_of(blocks) -> int:
 
     This is the raw combinatorial rule; note that it assigns -1 to the
     single partition (1), whereas the generating function splits the q^1
-    column as w^-1 - 1 + w.  Reconciling the two is the table builder's
-    job, never this function's.
+    column as w^-1 - 1 + w.  Reconciling the two is never this function's
+    job: the tables keep the generating-function row,
+    ``moments.combinatorial_row`` turns it into the single partition of
+    crank 0 at export, and the ``crank-anomalous-column`` check pins all
+    three forms.
     """
     if not blocks:
         return 0

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from itertools import chain
-from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, ResourceLimitError
@@ -468,9 +468,9 @@ def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
 
     The coefficient of w^m q^N counts partitions of N with crank (or rank)
     equal to m, in the raw generating-function normalization.  For the
-    crank that means the q^1 row reads w^-1 - 1 + w rather than the
-    combinatorial single partition; table export patches that column
-    (``moments.combinatorial_row``).  It is stored factorized, as the
+    crank that means the q^1 row reads w^-1 - 1 + w rather than the single
+    partition (1) of crank 0; table export patches that row (see the
+    conventions of ``moments``).  It is stored factorized, as the
     sparse numerator of ``numerator_entries`` alone (see
     ``BivariateSeries``): O(nmax log nmax) monomials, whose size is
     estimated against ``TABLE_BYTES_LIMIT`` before any is built.
@@ -504,7 +504,10 @@ def appell_sum(ell: int, r: int, nmax: int) -> ExactSeries:
     l in {1, 3}, the two cases with partition-statistic meaning (l=1 gives
     crank-side, l=3 rank-side symmetrized moments after division by
     (q;q)_inf).  Each denominator is expanded by the negative binomial
-    series; the outer sum stops once its minimal exponent passes nmax.
+    series, sum_k C(k + r - 1, k) q^{nk}, whose binomials are built once, by
+    the exact ratio C(k + r - 1, k) = C(k + r - 2, k - 1) (k + r - 1) / k,
+    and shared by every n; each n adds them to its exponents in one slice.
+    The outer sum stops once its minimal exponent passes nmax.
     """
     if ell not in (1, 3):
         raise ValueError(f"ell must be 1 or 3, got {ell}")
@@ -512,17 +515,14 @@ def appell_sum(ell: int, r: int, nmax: int) -> ExactSeries:
         raise ValueError("r must be >= 1")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
+    binomials = [1] * (nmax + 1)
+    for k in range(1, nmax + 1):
+        binomials[k] = binomials[k - 1] * (k + r - 1) // k
     coeffs = [0] * (nmax + 1)
     n = 1
-    while True:
-        base = _appell_exponent(ell, r, n)
-        if base > nmax:
-            break
-        sign = 1 if n % 2 == 1 else -1
-        k = 0
-        while base + n * k <= nmax:
-            coeffs[base + n * k] += sign * comb(k + r - 1, r - 1)
-            k += 1
+    while (base := _appell_exponent(ell, r, n)) <= nmax:
+        step = operator.add if n % 2 == 1 else operator.sub
+        coeffs[base::n] = map(step, coeffs[base::n], binomials)
         n += 1
     return ExactSeries(coeffs)
 

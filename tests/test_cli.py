@@ -140,6 +140,20 @@ class TestMoments:
             if kind == "crank" and r == 2:
                 assert v == 2 * N * p[N]  # Dyson's M2(N) = 2N p(N)
 
+    def test_high_order_completes(self, capsys):
+        # the basis change of order 400 is an integer interpolation
+        code, out, _ = run_cli(capsys, "moments", "--nmax", "50", "--r", "400")
+        assert code == 0
+        values = {}
+        for line in out.strip().split("\n")[1:]:
+            kind, _, r, _, N, v = line.split(",")
+            values.setdefault(kind, []).append(int(v))
+        for kind, got in values.items():
+            table = moments.CrankRankTable.build(kind, 50)
+            [want] = table.weighted_sums([lambda m: m ** 400 if m >= 1 else 0])
+            assert got == want
+        assert list(values) == ["crank", "rank"]
+
     def test_bad_order(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--nmax", "4", "--r", "0")
         assert code == 1
@@ -297,6 +311,20 @@ class TestUsage:
         assert code == 1
         assert err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["asym", "--r", "171"], "int too large to convert to float"),
+        (["asym", "--r", "0"], "r must be >= 1"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_asym_order_refused_before_building(self, capsys, monkeypatch,
+                                                argv, message):
+        # every model is built before the first family, on the default ladder
+        built = []
+        monkeypatch.setattr(moments, "symmetrized_family",
+                            lambda *args: built.append(args))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, built) == (1, "", [])
+        assert err == f"usage error: {message}\n"
+
     def test_resource_limit_exits_three(self, capsys, monkeypatch):
         # refused from the size estimate, before the table or p is allocated
         monkeypatch.setattr(qs, "partition_series",
@@ -368,13 +396,15 @@ def test_each_quotient_formed_once(run, calls, capsys, monkeypatch):
 
 
 # Runs the CLI in a fresh interpreter with its stdout discarded, then
-# prints the exit code and whether numpy got imported.
+# prints the exit code and whether numpy, dataclasses and fractions got
+# imported.
 _NUMPY_PROBE = """
 import contextlib, io, sys
 from crankrank import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(code, "numpy" in sys.modules, "dataclasses" in sys.modules,
+      "fractions" in sys.modules,
       *[name for name in ("asymptotics", "parity", "partitions",
                           "verification") if f"crankrank.{name}" in sys.modules])
 """
@@ -401,11 +431,12 @@ def test_numpy_loaded_only_by_circle(argv, loads_numpy):
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           capture_output=True, text=True, env=env, check=True)
     modules = _OPTIONAL_MODULES.get(argv[0] if argv else None, [])
-    code, numpy, dataclasses, *loaded = done.stdout.split()
+    code, numpy, dataclasses, fractions, *loaded = done.stdout.split()
     assert [code, numpy, *loaded] == ["0", str(loads_numpy), *modules]
-    # no package record needs dataclasses; numpy's own imports are not pinned
+    # no package record needs dataclasses, and only circle's expansion
+    # coefficients need fractions; numpy's own imports are not pinned
     if not loads_numpy:
-        assert dataclasses == "False"
+        assert (dataclasses, fractions) == ("False", "False")
 
 
 def test_root_exports_resolve():

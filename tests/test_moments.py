@@ -1,5 +1,6 @@
 import sys
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -128,6 +129,11 @@ class TestBasisChange:
                 rhs = _falling_binomial_combo(r, coeffs, m)
                 assert m ** r == rhs, (r, m)
 
+    def test_matches_rational_elimination(self):
+        # the integer interpolation against the elimination it replaced
+        for r in range(1, 41):
+            assert mm.basis_change_coeffs(r) == _rational_basis_change(r), r
+
     def test_constant_term_always_vanishes(self):
         # a_0 = 0 is what lets positive_moment_series skip the table route
         for r in range(1, 13):
@@ -143,7 +149,7 @@ class TestBasisChange:
                     for l in range(1, r + 1)
                 }
                 for N in range(41):
-                    want = _factorial(r) * sym[r][N]
+                    want = factorial(r) * sym[r][N]
                     for l in range(1, r):
                         if coeffs[l]:
                             want += coeffs[l] * sym[l][N]
@@ -159,11 +165,32 @@ class TestBasisChange:
                 assert got == want
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _binomial_basis_polynomial(ell):
+    """Coefficients (as Fractions, ascending) of m -> C(m + floor((ell-1)/2), ell)."""
+    off = (ell - 1) // 2
+    poly = [Fraction(1)]
+    for i in range(ell):
+        poly = [Fraction(0)] + poly
+        for k in range(len(poly) - 1):
+            poly[k] += (off - i) * poly[k + 1]
+    return [c / factorial(ell) for c in poly]
+
+
+def _rational_basis_change(r):
+    """a_0..a_{r-1} by triangular elimination in the binomial basis over
+    exact rationals, from the top order down: the simple path that
+    ``basis_change_coeffs`` replaced."""
+    target = [Fraction(0)] * r + [Fraction(1)]
+    coeffs = []  # a_r, a_{r-1}, ..., a_0
+    for ell in range(r, -1, -1):
+        c = target[ell] * factorial(ell)
+        assert c.denominator == 1, (r, ell, c)
+        coeffs.append(int(c))
+        for k, b in enumerate(_binomial_basis_polynomial(ell)):
+            target[k] -= c * b
+    assert not any(target), r
+    assert coeffs[0] == factorial(r), r
+    return coeffs[:0:-1]
 
 
 def _falling_binomial_combo(r, coeffs, m):
@@ -171,9 +198,9 @@ def _falling_binomial_combo(r, coeffs, m):
         num = 1
         for i in range(k):
             num *= top - i
-        return num // _factorial(k)
+        return num // factorial(k)
 
-    total = _factorial(r) * fb(m + (r - 1) // 2, r)
+    total = factorial(r) * fb(m + (r - 1) // 2, r)
     for l in range(r):
         if coeffs[l]:
             total += coeffs[l] * fb(m + (l - 1) // 2, l)

@@ -244,6 +244,18 @@ class TestAppellSum:
         want = [0, 1, 1, 0, 1, 0, 2]
         assert got == want
 
+    @pytest.mark.parametrize("ell", [1, 3])
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 7, 50, 301])
+    def test_matches_term_by_term_expansion(self, ell, nmax):
+        # the shared binomial list against one math.comb per term
+        for r in range(1, 25):
+            want = [0] * (nmax + 1)
+            for n in range(1, nmax + 1):
+                base = (ell * n * n + (r + 1 - r % 2) * n) // 2
+                for k in range((nmax - base) // n + 1):
+                    want[base + n * k] += (-1) ** (n + 1) * math.comb(k + r - 1, r - 1)
+            assert qs.appell_sum(ell, r, nmax).coeffs == want, r
+
 
 class TestOsptNumerator:
     def test_small_coefficients(self):
