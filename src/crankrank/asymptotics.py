@@ -21,26 +21,19 @@ ell (1 = crank, 3 = rank):
                       + d N^{r/2-5/4} I_{r-5/2}(x), x = pi sqrt(2N/3);
 * appell_leading, appell_second -- coefficients of (-2 pi i tau)^{-r}
                       and (-2 pi i tau)^{-r+1} in the expansion of the
-                      Appell-type sum near tau = 0;
-* quotient_leading, quotient_second -- the corresponding coefficients
-                      after dividing by (q;q)_inf, i.e. of
-                      (-2 pi i tau)^{1/2-r} e^{pi i/(12 tau)} and its
-                      tau-raised companion.
+                      Appell-type sum near tau = 0.
 
-Two printed forms circulate for the zeta(r-1) weight inside the
-subleading constant: (1 - 2^(2-r)), which equals eta(r-1) and is what the
-derivative recursion for the theta-like sums produces, and (1 - 2^(1-r)).
-Both are implemented behind ``variant``; the numerical trend tests select
-"eta" decisively (two-term residuals fall like 1/N instead of stalling at
-1/sqrt(N)), so "eta" is the default.
+The zeta(r-1) weight inside the subleading constant is eta(r-1) =
+(1 - 2^(2-r)) zeta(r-1), the factor the derivative recursion for the
+theta-like sums produces; a trend test keeps the other printed form,
+(1 - 2^(1-r)) zeta(r-1), as its reference and shows its two-term
+residuals stalling at 1/sqrt(N) where eta(r-1)'s fall like 1/N.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-VARIANTS = ("eta", "shifted")
 
 _ETA_CLOSED = {1: math.log(2.0), 0: 0.5, -1: 0.25}
 
@@ -141,25 +134,20 @@ class AsymptoticModel(NamedTuple):
     r: int
     ell: int
     rho: float
-    variant: str
     gamma: float
     delta: float
     bessel_leading: float
     bessel_second: float
     appell_leading: float
     appell_second: float
-    quotient_leading: float
-    quotient_second: float
 
 
-def build_model(r: int, ell: int, variant: str = "eta") -> AsymptoticModel:
+def build_model(r: int, ell: int) -> AsymptoticModel:
     """Populate every asymptotic constant for order r and side ell."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if ell not in (1, 3):
         raise ValueError(f"ell must be 1 or 3, got {ell}")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     rho = 0.0 if r % 2 == 1 else 0.5
     fact = math.factorial(r)
     sqrt3 = math.sqrt(3.0)
@@ -171,24 +159,7 @@ def build_model(r: int, ell: int, variant: str = "eta") -> AsymptoticModel:
     )
 
     appell_leading = dirichlet_eta(r)
-    if variant == "eta" or r % 2 == 1:
-        # for odd r the weight is multiplied by rho = 0 anyway
-        odd_weight = dirichlet_eta(r - 1)
-    elif r == 2:
-        raise ValueError(
-            "variant 'shifted' has no finite value at r = 2 "
-            "(its zeta(1) weight diverges); use variant 'eta'"
-        )
-    else:
-        # zeta(r-1) (1 - 2^{1-r}), recovered from eta(r-1) for even r >= 4
-        odd_weight = (
-            dirichlet_eta(r - 1) / (1.0 - 2.0 ** (2 - r)) * (1.0 - 2.0 ** (1 - r))
-        )
-    appell_second = -(ell / 2.0) * dirichlet_eta(r - 2) - rho * odd_weight
-
-    root_2pi = math.sqrt(2.0 * math.pi)
-    quotient_leading = appell_leading / root_2pi
-    quotient_second = (-appell_leading / 24.0 + appell_second) / root_2pi
+    appell_second = -(ell / 2.0) * dirichlet_eta(r - 2) - rho * dirichlet_eta(r - 1)
 
     bessel_leading = (
         appell_leading * 6.0 ** (r / 2.0 - 0.75) / (math.sqrt(2.0) * math.pi ** (r - 1))
@@ -198,11 +169,10 @@ def build_model(r: int, ell: int, variant: str = "eta") -> AsymptoticModel:
         * 6.0 ** (r / 2.0 - 1.25) / (math.sqrt(2.0) * math.pi ** (r - 2))
     )
     return AsymptoticModel(
-        r=r, ell=ell, rho=rho, variant=variant,
+        r=r, ell=ell, rho=rho,
         gamma=gamma, delta=delta,
         bessel_leading=bessel_leading, bessel_second=bessel_second,
         appell_leading=appell_leading, appell_second=appell_second,
-        quotient_leading=quotient_leading, quotient_second=quotient_second,
     )
 
 

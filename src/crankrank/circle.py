@@ -33,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import moments
 from . import series as qs
 from .errors import ConvergenceError
 
@@ -138,15 +137,15 @@ def _alternating_zeta_tail(k: int, cap: int) -> float:
 
 
 def ml_partial_value(dec: MLDecomposition, w: complex, lattice_cap: int = ML_LATTICE_CAP,
-                     with_tail: bool = True, tail_orders: int = 8) -> complex:
+                     with_tail: bool = True) -> complex:
     """Evaluate the partial-fraction side of the kernel identity at w.
 
     Sums the principal parts at 0 and at the integer poles up to
     ``lattice_cap`` (signed by (-1)^{m r} for odd r); with ``with_tail``
     the remaining lattice tail is estimated through the binomial
-    expansion of (w -+ m)^(-j), whose m-sums reduce to (alternating)
-    zeta tails.  For |w| < 1/2 the corrected value matches the kernel to
-    near machine precision at the default cap.
+    expansion of (w -+ m)^(-j) through w^8, whose m-sums reduce to
+    (alternating) zeta tails.  For |w| < 1/2 the corrected value matches
+    the kernel to near machine precision at the default cap.
     """
     if abs(w) >= 1:
         raise ValueError("|w| must be < 1 to stay inside the first pole pair")
@@ -164,7 +163,7 @@ def ml_partial_value(dec: MLDecomposition, w: complex, lattice_cap: int = ML_LAT
                 lattice += pair
         if with_tail:
             sign = (-1) ** j
-            for i in range(j % 2, tail_orders + 1, 2):
+            for i in range(j % 2, 9, 2):
                 tail = (
                     _alternating_zeta_tail(i + j, lattice_cap)
                     if alternating else _zeta_tail(i + j, lattice_cap)
@@ -181,12 +180,12 @@ def ml_partial_value(dec: MLDecomposition, w: complex, lattice_cap: int = ML_LAT
 # ---------------------------------------------------------------------------
 
 def alternating_theta(ell: int, j: int, tau: complex, rho: float = 0.0,
-                      tol: float = 1e-12, max_terms: int = 10**6) -> complex:
+                      max_terms: int = 10**6) -> complex:
     """sum_{n>=1} (-1)^{n+1} n^{-j} e^{2 pi i tau (l n^2/2 + rho n)}.
 
     Converges Gaussian-fast for Im(tau) > 0; j may be any integer,
     including the <= 0 weights arising at small orders.  Summation stops
-    when a geometric majorant of the tail drops below tol times the
+    when a geometric majorant of the tail drops below 1e-12 times the
     partial sum.
     """
     y = tau.imag
@@ -206,11 +205,11 @@ def alternating_theta(ell: int, j: int, tau: complex, rho: float = 0.0,
         ratio = 2.0 ** grow * math.exp(-math.pi * ell * (2 * nb + 1) * y)
         return head / (1.0 - ratio) if ratio < 1.0 else math.inf
 
-    return qs._alternating_sum(map(term, count(1)), tail, tol, max_terms,
+    return qs._alternating_sum(map(term, count(1)), tail, 1e-12, max_terms,
                                "theta sum").value
 
 
-def euler_inversion_ratio(tau: complex, tol: float = 1e-13) -> complex:
+def euler_inversion_ratio(tau: complex) -> complex:
     """1/(q;q)_inf divided by its two-term modular approximation.
 
     The approximation is sqrt(-i tau) e^{pi i/(12 tau)} (1 + 2 pi i tau/24),
@@ -218,7 +217,7 @@ def euler_inversion_ratio(tau: complex, tol: float = 1e-13) -> complex:
     in the standard main-arc window the ratio tends to 1 at rate 1/N.
     """
     q = qs.tau_to_q(tau)
-    direct = qs.euler_inverse_value(q, tol).value
+    direct = qs.euler_inverse_value(q, 1e-13).value
     approx = (
         cmath.sqrt(-1j * tau)
         * cmath.exp(1j * cmath.pi / (12.0 * tau))
@@ -227,8 +226,7 @@ def euler_inversion_ratio(tau: complex, tol: float = 1e-13) -> complex:
     return direct / approx
 
 
-def appell_pole_deviation(ell: int, r: int, tau: complex, variant: str = "eta",
-                          tol: float = 1e-12) -> float:
+def appell_pole_deviation(ell: int, r: int, tau: complex) -> float:
     """|appell sum minus its two-term pole expansion| at q = e^{2 pi i tau}.
 
     The expansion is c (-2 pi i tau)^(-r) + d (-2 pi i tau)^(-r+1) with the
@@ -237,9 +235,9 @@ def appell_pole_deviation(ell: int, r: int, tau: complex, variant: str = "eta",
     """
     from .asymptotics import build_model
 
-    model = build_model(r, ell, variant)
+    model = build_model(r, ell)
     q = qs.tau_to_q(tau)
-    direct = qs.appell_sum_value(ell, r, q, tol).value
+    direct = qs.appell_sum_value(ell, r, q, 1e-12).value
     z = -2j * cmath.pi * tau
     approx = model.appell_leading * z ** (-r) + model.appell_second * z ** (-r + 1)
     return abs(direct - approx)
@@ -292,11 +290,10 @@ def _composite_gl(fn, lo: float, hi: float, panels: int) -> complex:
     return complex((vals * _GL_WEIGHTS[None, :]).sum(axis=1) @ half)
 
 
-def _refine_gl(fn, lo: float, hi: float, start_panels: int, tol_abs: float,
-               max_doublings: int = 9):
+def _refine_gl(fn, lo: float, hi: float, start_panels: int, tol_abs: float):
     panels = start_panels
     prev = _composite_gl(fn, lo, hi, panels)
-    for _ in range(max_doublings):
+    for _ in range(9):
         panels *= 2
         cur = _composite_gl(fn, lo, hi, panels)
         delta = abs(cur - prev)
@@ -338,16 +335,16 @@ def _euler_at_nodes(N: int, lo: float, hi: float, panels: int) -> np.ndarray:
     return value
 
 
-def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
-                     exact: int | None = None,
-                     target_rel: float = 1e-8) -> QuadratureReport:
+def wright_integrals(ell: int, r: int, N: int, exact: int) -> QuadratureReport:
     """Split the coefficient integral into main and error arcs and compare.
 
     Integrates the quotient series around |q| = e^{-pi/sqrt(6N)}: the main
     arc covers |x| <= 1/(2 sqrt(6N)) in q = e^{-pi/sqrt(6N) + 2 pi i x},
     the error arc the rest of a full period.  The sum of the two arcs
-    must reproduce the exact integer coefficient of q^N; the report also
-    carries |error arc| / |main arc|, which decays in N.
+    must reproduce ``exact``, the integer coefficient of q^N of the
+    symmetrized series; each arc refines until two panel counts agree to
+    half of 1e-8 of it.  The report also carries |error arc| / |main arc|,
+    which decays in N.
 
     N is restricted by ``check_quadrature_order``.
     """
@@ -365,16 +362,13 @@ def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
              * _euler_at_nodes(N, lo, hi, panels))
         return f * amplitude * np.exp(-2j * math.pi * N * xs)
 
-    if exact is None:
-        exact = moments.symmetrized_series(ell, r, N)[N]
     # conjugate symmetry: the integral over [-b, -a] is the conjugate of [a, b]
-    tol_abs = target_rel * float(exact)
-    main_start, err_start = panels if panels is not None else (8, max(32, N // 2))
+    tol_abs = 1e-8 * float(exact)
     main_half, main_panels, main_delta = _refine_gl(
-        integrand, 0.0, x_split, main_start, tol_abs / 2.0
+        integrand, 0.0, x_split, 8, tol_abs / 2.0
     )
     err_half, err_panels, err_delta = _refine_gl(
-        integrand, x_split, 0.5, err_start, tol_abs / 2.0
+        integrand, x_split, 0.5, max(32, N // 2), tol_abs / 2.0
     )
     main_arc = 2.0 * complex(main_half).real + 0j
     error_arc = 2.0 * complex(err_half).real + 0j
@@ -390,14 +384,15 @@ def wright_integrals(ell: int, r: int, N: int, panels: tuple | None = None,
     )
 
 
-def wright_auxiliary(s: float, N: int, target_rel: float = 1e-12) -> complex:
+def wright_auxiliary(s: float, N: int) -> complex:
     """The straight-segment contour integral
     (1/(2 pi i)) int_{1-i}^{1+i} v^s e^{pi sqrt(N/6)(v + 1/v)} dv.
 
     Parametrized by v = 1 + it this is a smooth, sharply peaked integrand;
     the principal branch of v^s never crosses a cut since Re(v) = 1.  As N
     grows the value approaches I_{-s-1}(pi sqrt(2N/3)) up to an error a
-    factor e^{-(pi/2) sqrt(N/6)} smaller.
+    factor e^{-(pi/2) sqrt(N/6)} smaller.  The quadrature refines to
+    1e-12 of the integrand's peak e^{2 pi sqrt(N/6)} / (2 pi).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -408,7 +403,7 @@ def wright_auxiliary(s: float, N: int, target_rel: float = 1e-12) -> complex:
         return np.exp(s * np.log(v) + c * (v + 1.0 / v)) / (2.0 * math.pi)
 
     scale = math.exp(2.0 * c) / (2.0 * math.pi)
-    value, _, _ = _refine_gl(integrand, -1.0, 1.0, 8, target_rel * scale)
+    value, _, _ = _refine_gl(integrand, -1.0, 1.0, 8, 1e-12 * scale)
     return value
 
 
@@ -458,11 +453,10 @@ def zagier_expansion(taylor, integral: float, a: float, t: float,
     return total
 
 
-def sampled_sum(fn, a: float, t: float, tol: float = 1e-14,
-                max_terms: int = 10**7) -> float:
+def sampled_sum(fn, a: float, t: float, max_terms: int = 10**7) -> float:
     """Direct evaluation of sum_{m>=0} f((m+a)t) for f of rapid decay.
 
-    Terms are accumulated until they fall below tol times the running
+    Terms are accumulated until they fall below 1e-14 times the running
     total twice in a row past the decay onset.
     """
     if a <= 0 or t <= 0:
@@ -473,7 +467,7 @@ def sampled_sum(fn, a: float, t: float, tol: float = 1e-14,
         u = (m + a) * t
         term = fn(u)
         acc += term
-        if u > 2.0 and abs(term) <= tol * max(abs(acc), 1e-300):
+        if u > 2.0 and abs(term) <= 1e-14 * max(abs(acc), 1e-300):
             small_streak += 1
             if small_streak >= 2:
                 return acc
@@ -569,13 +563,14 @@ def gaussian_difference_sum(y: float) -> float:
         n += 1
 
 
-def away_bound_rows(ell: int, r: int, Ns, window_fractions=(0.0, 0.02, 0.1, 0.3, 0.6, 1.0)) -> list:
+def away_bound_rows(ell: int, r: int, Ns) -> list:
     """Sample |quotient series| against its off-arc envelope.
 
-    For each N the window is y <= x <= 1/2 with y = 1/(2 sqrt(6N)); the
-    envelope is N^{r/2+1/4} e^{(pi/2) sqrt(N/6)}.  Returns
-    (N, x, y, lhs, rhs_bound, ratio) rows, ratio staying bounded (well
-    below 1) when the envelope holds.
+    For each N the window y <= x <= 1/2, with y = 1/(2 sqrt(6N)), is
+    sampled at six fractions of its width; the envelope is
+    N^{r/2+1/4} e^{(pi/2) sqrt(N/6)}.  Returns (N, x, y, lhs, rhs_bound,
+    ratio) rows, ratio staying bounded (well below 1) when the envelope
+    holds.
     """
     rows = []
     for N in Ns:
@@ -585,7 +580,7 @@ def away_bound_rows(ell: int, r: int, Ns, window_fractions=(0.0, 0.02, 0.1, 0.3,
         envelope = N ** (r / 2.0 + 0.25) * math.exp(
             (math.pi / 2.0) * math.sqrt(N / 6.0)
         )
-        for frac in window_fractions:
+        for frac in (0.0, 0.02, 0.1, 0.3, 0.6, 1.0):
             x = y + frac * (0.5 - y)
             q = qs.tau_to_q(complex(x, y))
             lhs = abs(

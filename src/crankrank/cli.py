@@ -213,9 +213,9 @@ def _cmd_verify(args) -> int:
     from . import verification
 
     # --out is opened first, so a path that cannot be opened stops the
-    # command before the suite runs; the text report goes to stdout
+    # command before the context is built; the text report goes to stdout
     with _writer(args.out) as fh:
-        results = verification.run_suite(args.nmax)
+        results = verification.run_suite(verification.build_context(args.nmax))
         for res in results:
             status = "PASS" if res.passed else "FAIL"
             line = f"{status} {res.name}: {res.detail}"

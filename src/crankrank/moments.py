@@ -48,10 +48,6 @@ from . import series as qs
 GENERATING_FUNCTION = "generating_function"
 COMBINATORIAL = "combinatorial"
 
-#: Largest default order for moment tables; big enough for the asymptotic
-#: trend checks, small enough for minutes-scale runs.
-DEFAULT_NMAX = 2000
-
 
 def _positive_power(r: int):
     """The weight m^r on m >= 1, 0 elsewhere."""
@@ -91,7 +87,7 @@ class CrankRankTable(qs.BivariateSeries):
         self.kind = kind
 
     @classmethod
-    def build(cls, kind: str, nmax: int = DEFAULT_NMAX) -> "CrankRankTable":
+    def build(cls, kind: str, nmax: int) -> "CrankRankTable":
         """Extract the table from the bivariate generating function."""
         return cls(kind, qs.bivariate_series(kind, nmax).columns, nmax)
 
@@ -286,7 +282,7 @@ def spt_ospt_from_symmetrized(sym_crank: dict, sym_rank: dict) -> tuple:
     return spt, ospt
 
 
-def spt_ospt(nmax: int = DEFAULT_NMAX) -> tuple:
+def spt_ospt(nmax: int) -> tuple:
     """Exact spt(N) and ospt(N) for 0 <= N <= nmax, from the series route.
 
     Both lists carry a leading 0 entry for N=0.
@@ -295,8 +291,3 @@ def spt_ospt(nmax: int = DEFAULT_NMAX) -> tuple:
         raise ValueError("nmax must be >= 0")
     return spt_ospt_from_symmetrized(symmetrized_family(1, (1, 2), nmax),
                                      symmetrized_family(3, (1, 2), nmax))
-
-
-def ospt_from_numerator(nmax: int) -> list:
-    """ospt(N) read from the dedicated numerator series, as a cross-check."""
-    return qs.ospt_series(nmax).coeffs

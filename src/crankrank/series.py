@@ -640,6 +640,7 @@ def euler_inverse_value(q, tol: float = 1e-12,
     """
     q, aq = _disk_points(q, tol)
     prod = qpow = 1.0 + 0.0j
+    rel = math.inf
     for j in range(1, max_terms + 1):
         qpow *= q
         prod *= 1.0 - qpow

@@ -271,7 +271,7 @@ def check_spt_ospt_series_scale(ctx: SuiteContext) -> list:
 
 def check_ospt_numerator(ctx: SuiteContext) -> list:
     """ospt from the dedicated numerator series equals mu_1 - eta_1."""
-    other = moments.ospt_from_numerator(ctx.nmax)
+    other = qs.ospt_series(ctx.nmax).coeffs
     return [_verdict(
         "ospt-numerator-series", f"numerator route matches, N <= {ctx.nmax}",
         "numerator route disagrees",
@@ -439,11 +439,8 @@ ALL_CHECKS = (
 )
 
 
-def run_suite(nmax: int, brute_nmax: int | None = None,
-              ctx: SuiteContext | None = None) -> list:
-    """Run every check and return the list of CheckResults."""
-    if ctx is None:
-        ctx = build_context(nmax, brute_nmax)
+def run_suite(ctx: SuiteContext) -> list:
+    """Run every check on ``ctx`` and return the list of CheckResults."""
     results = []
     for check in ALL_CHECKS:
         results.extend(check(ctx))

@@ -8,6 +8,20 @@ from crankrank import moments as mm
 from crankrank import series as qs
 
 
+def shifted_model(r, ell):
+    """``build_model(r, ell)`` with the other printed zeta(r-1) weight of the
+    subleading constant, (1 - 2^(1-r)) zeta(r-1) in place of eta(r-1) =
+    (1 - 2^(2-r)) zeta(r-1); the reference the trend tests reject."""
+    model = asy.build_model(r, ell)
+    weight = (1.0 - 2.0 ** (1 - r)) * float(mpmath.zeta(r - 1))
+    appell_second = -(ell / 2.0) * asy.dirichlet_eta(r - 2) - model.rho * weight
+    bessel_second = (
+        (-model.appell_leading / 24.0 + appell_second)
+        * 6.0 ** (r / 2.0 - 1.25) / (math.sqrt(2.0) * math.pi ** (r - 2))
+    )
+    return model._replace(appell_second=appell_second, bessel_second=bessel_second)
+
+
 class TestDirichletEta:
     def test_closed_values(self):
         assert asy.dirichlet_eta(1) == math.log(2)
@@ -69,34 +83,22 @@ class TestModelConstants:
             assert a.bessel_leading == b.bessel_leading
             assert a.gamma == b.gamma
 
-    def test_quotient_constants(self):
-        m = asy.build_model(5, 3)
-        assert abs(m.quotient_leading - m.appell_leading / math.sqrt(2 * math.pi)) < 1e-15
-        want = (-m.appell_leading / 24 + m.appell_second) / math.sqrt(2 * math.pi)
-        assert abs(m.quotient_second - want) < 1e-15
-
     def test_variants_differ_only_for_even_r(self):
         for r in (3, 5):
-            a = asy.build_model(r, 1, "eta")
-            b = asy.build_model(r, 1, "shifted")
+            a = asy.build_model(r, 1)
+            b = shifted_model(r, 1)
             assert a.appell_second == b.appell_second
             assert a.bessel_second == b.bessel_second
         for r in (4, 6):
-            a = asy.build_model(r, 1, "eta")
-            b = asy.build_model(r, 1, "shifted")
+            a = asy.build_model(r, 1)
+            b = shifted_model(r, 1)
             assert a.appell_second != b.appell_second
-
-    def test_shifted_variant_diverges_at_r2(self):
-        with pytest.raises(ValueError, match="shifted"):
-            asy.build_model(2, 1, "shifted")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             asy.build_model(0, 1)
         with pytest.raises(ValueError):
             asy.build_model(2, 2)
-        with pytest.raises(ValueError):
-            asy.build_model(2, 1, "mystery")
 
 
 class TestLogBessel:
@@ -231,14 +233,12 @@ class TestTrend:
 
     def test_two_term_variant_selection(self):
         # the decisive experiment for the subleading-constant form: with
-        # the "eta" weight the two-term residual keeps shrinking like 1/N,
-        # with the "shifted" weight it stalls at the 1/sqrt(N) scale
+        # the eta(r-1) weight the two-term residual keeps shrinking like 1/N,
+        # with the shifted weight it stalls at the 1/sqrt(N) scale
         Ns = [500, 1000, 2000]
         vals = [mm.symmetrized_series(1, 4, N)[N] for N in Ns]
-        rep_eta = asy.trend(Ns, vals, asy.build_model(4, 1, "eta"), "mu", terms=2)
-        rep_shifted = asy.trend(
-            Ns, vals, asy.build_model(4, 1, "shifted"), "mu", terms=2
-        )
+        rep_eta = asy.trend(Ns, vals, asy.build_model(4, 1), "mu", terms=2)
+        rep_shifted = asy.trend(Ns, vals, shifted_model(4, 1), "mu", terms=2)
         assert rep_eta.residuals[-1] < 0.1 * rep_shifted.residuals[-1]
         assert rep_eta.fitted_exponent < -0.8
         assert rep_shifted.fitted_exponent > -0.7

@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,11 @@ from crankrank import circle as cm
 from crankrank import moments as mm
 from crankrank import series as qs
 from crankrank.errors import ConvergenceError
+
+
+def quadrature(ell, r, N):
+    """``wright_integrals`` against the series route's coefficient of q^N."""
+    return cm.wright_integrals(ell, r, N, exact=mm.symmetrized_series(ell, r, N)[N])
 
 
 class TestMLDecomposition:
@@ -79,7 +88,7 @@ class TestMLDecomposition:
 
     def test_low_order_quadrature(self):
         for r in (1, 2):
-            rep = cm.wright_integrals(1, r, 50)
+            rep = quadrature(1, r, 50)
             assert rep.relative_error <= 1e-6
 
     def test_rejects_large_w(self):
@@ -197,16 +206,16 @@ class TestWrightIntegrals:
     @pytest.mark.parametrize("ell,r", [(1, 3), (3, 3), (1, 4), (3, 4)])
     def test_reproduces_exact_coefficient(self, ell, r):
         for N in (50, 100):
-            rep = cm.wright_integrals(ell, r, N)
+            rep = quadrature(ell, r, N)
             assert rep.relative_error <= 1e-6
             assert abs(rep.main_arc) > abs(rep.error_arc)
 
     def test_arc_ratio_decays(self):
-        ratios = [cm.wright_integrals(1, 3, N).arc_ratio for N in (50, 100, 200)]
+        ratios = [quadrature(1, 3, N).arc_ratio for N in (50, 100, 200)]
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_report_dict(self):
-        rep = cm.wright_integrals(1, 3, 50)
+        rep = quadrature(1, 3, 50)
         d = rep.as_dict()
         assert d["N"] == 50 and d["exact"] == str(rep.exact)
         assert set(d) == {"N", "ell", "r", "main_arc", "error_arc", "exact",
@@ -221,9 +230,9 @@ class TestWrightIntegrals:
 
     def test_window_enforced(self):
         with pytest.raises(ValueError):
-            cm.wright_integrals(1, 3, 10)
+            quadrature(1, 3, 10)
         with pytest.raises(ValueError):
-            cm.wright_integrals(1, 3, 500)
+            quadrature(1, 3, 500)
 
     def test_exact_override(self):
         true = mm.symmetrized_series(1, 3, 60)[60]
@@ -233,12 +242,12 @@ class TestWrightIntegrals:
     def test_euler_memo_warm_equals_cold(self):
         # warm: the node sets were filled by another (ell, r) pair
         cm._euler_at_nodes.cache_clear()
-        cm.wright_integrals(1, 1, 60)
+        quadrature(1, 1, 60)
         hits = cm._euler_at_nodes.cache_info().hits
-        warm = cm.wright_integrals(3, 2, 60)
+        warm = quadrature(3, 2, 60)
         assert cm._euler_at_nodes.cache_info().hits > hits
         cm._euler_at_nodes.cache_clear()
-        cold = cm.wright_integrals(3, 2, 60)
+        cold = quadrature(3, 2, 60)
         assert cm._euler_at_nodes.cache_info().hits == 0
         for field in cm.QuadratureReport._fields:
             assert getattr(warm, field) == getattr(cold, field), field
@@ -342,3 +351,13 @@ class TestOsptNumeratorLimit:
     def test_domain(self):
         with pytest.raises(ValueError):
             cm.ospt_numerator_limit_table([2.0])
+
+
+def test_circle_builds_no_exact_data():
+    # every caller passes the exact coefficient in, so circle loads no
+    # exact-moment module of its own
+    src = str(Path(cm.__file__).resolve().parents[1])
+    probe = "import sys, crankrank.circle; print('crankrank.moments' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.split() == ["False"]

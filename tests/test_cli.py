@@ -78,7 +78,7 @@ class TestVerify:
     def test_failure_exits_two(self, capsys, monkeypatch):
         from crankrank import verification
 
-        def fake_suite(nmax, brute_nmax=None, ctx=None):
+        def fake_suite(ctx):
             return [verification.CheckResult(
                 "stub-check", False, "forced failure",
                 counterexample={"N": 7},
@@ -290,7 +290,9 @@ class TestUsage:
         ["parity", "--nmax", "3"],
     ], ids=lambda argv: argv[0])
     def test_out_cannot_be_opened(self, capsys, monkeypatch, tmp_path, argv):
-        # verify refuses before its suite runs, so stdout stays empty
+        # verify refuses before its context is built, so stdout stays empty
+        monkeypatch.setattr(verification, "build_context",
+                            lambda *args: pytest.fail("context built"))
         monkeypatch.setattr(verification, "run_suite",
                             lambda *args: pytest.fail("suite ran"))
         path = tmp_path / "missing" / "x"

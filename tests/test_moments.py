@@ -222,7 +222,7 @@ class TestSptOspt:
 
     def test_numerator_route_agrees(self):
         _, ospt = mm.spt_ospt(200)
-        assert mm.ospt_from_numerator(200) == ospt
+        assert qs.ospt_series(200).coeffs == ospt
 
     def test_monotone(self):
         _, ospt = mm.spt_ospt(200)

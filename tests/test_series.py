@@ -303,6 +303,13 @@ class TestComplexEvaluation:
         with pytest.raises(ConvergenceError) as err:
             qs.appell_sum_value(1, 1, 0.9, tol=1e-30, max_terms=3)
         assert err.value.achieved_bound is not None
+        # no term at all: every evaluator reports that no bound was reached
+        for evaluate in (qs.euler_inverse_value,
+                         lambda q, **kw: qs.appell_sum_value(1, 1, q, **kw),
+                         qs.ospt_numerator_value):
+            with pytest.raises(ConvergenceError) as err:
+                evaluate(0.5, max_terms=0)
+            assert err.value.achieved_bound == math.inf
 
     def test_certified_bound_is_honest(self):
         # compare against a much tighter evaluation

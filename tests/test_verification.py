@@ -12,7 +12,7 @@ from crankrank import verification as vr
 
 
 def test_small_suite_all_pass():
-    results = vr.run_suite(30)
+    results = vr.run_suite(vr.build_context(30))
     assert results
     failing = [r.name for r in results if not r.passed]
     assert not failing, failing
@@ -20,13 +20,13 @@ def test_small_suite_all_pass():
 
 def test_context_reuse():
     ctx = vr.build_context(25)
-    a = vr.run_suite(25, ctx=ctx)
-    b = vr.run_suite(25, ctx=ctx)
+    a = vr.run_suite(ctx)
+    b = vr.run_suite(ctx)
     assert [r.name for r in a] == [r.name for r in b]
 
 
 def test_report_json_round_trip():
-    results = vr.run_suite(20)
+    results = vr.run_suite(vr.build_context(20))
     data = json.loads(vr.report_json(results))
     assert data["passed"] is True
     names = {c["name"] for c in data["checks"]}
@@ -292,7 +292,7 @@ FAILURE_REPORTS = [
 def test_failure_report(corrupt, expected, line, monkeypatch, capsys):
     ctx = vr.build_context(30, 10)
     corrupt(ctx, monkeypatch)
-    [result] = [r for r in vr.run_suite(30, ctx=ctx)
+    [result] = [r for r in vr.run_suite(ctx)
                 if r.name == expected["name"]]
     assert result.as_dict() == expected
     monkeypatch.setattr(vr, "build_context", lambda *args: ctx)
@@ -302,7 +302,7 @@ def test_failure_report(corrupt, expected, line, monkeypatch, capsys):
 
 def test_failure_reports_cover_every_result():
     names = {case.values[1]["name"] for case in FAILURE_REPORTS}
-    assert names == {r.name for r in vr.run_suite(5)}
+    assert names == {r.name for r in vr.run_suite(vr.build_context(5))}
     assert len(names) == 23
 
 
@@ -397,7 +397,7 @@ def test_brute_cap_respected():
 def test_brute_range_always_covers_n1():
     ctx = vr.build_context(5, brute_nmax=0)
     assert ctx.brute_nmax == 1
-    assert all(r.passed for r in vr.run_suite(5, ctx=ctx))
+    assert all(r.passed for r in vr.run_suite(ctx))
 
 
 _BENCHMARK_HOOKS_PROBE = """
