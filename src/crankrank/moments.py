@@ -6,11 +6,11 @@ Two independent routes to the same numbers live here:
   kept as the sparse numerator columns of the bivariate generating
   function and nothing else (``CrankRankTable``), with moments read off
   it as weighted sums over m.  Every sum of one bulk accessor, for every
-  N and every order at once, comes from one packed division of the
-  numerator by (q;q)_inf (``series.BivariateSeries.weighted_sums``),
-  with neither p nor a product.  The weights are the table's own (m^r,
-  m^{2k}, C(m + floor((r-1)/2), r)), never the series route's basis
-  change;
+  N and every order at once, comes from one packed division of its
+  weighted numerators by (q;q)_inf
+  (``series.BivariateSeries.weighted_sums``), with neither p nor a
+  product.  The weights are the table's own (m^r, m^{2k},
+  C(m + floor((r-1)/2), r)), never the series route's basis change;
 * the *series route*: read symmetrized positive moments directly as the
   integer coefficients of A_{ell,r}(q) / (q;q)_inf, A being
   ``series.appell_sum`` (ell=1 for crank, ell=3 for rank), and recover
@@ -22,11 +22,10 @@ Two independent routes to the same numbers live here:
   and ``spt_ospt`` are single-family calls into them.
 
 The two routes meeting exactly, for every N and r, is one of the main
-verification targets of the package.  Both divide by (q;q)_inf with the
-pentagonal recurrence, each packing its numerators side by side into one
-integer per power of q (``series.divide_packed``): the table route its
-weighted numerator columns, the series route its Appell sums.  The
-identity suite checks that division apart from both routes, through
+verification targets of the package.  Both divide by (q;q)_inf through
+``series.euler_quotients``, each with numerators of its own: the table
+route its weighted numerator columns, the series route its Appell sums.
+The identity suite checks that division apart from both routes, through
 products with the independently written ``euler_function``
 (``ExactSeries.__mul__``): p times it must give 1, and each symmetrized
 family times it must give back its Appell sums.
@@ -95,13 +94,6 @@ class CrankRankTable(qs.BivariateSeries):
     def rows(self) -> list:
         """Every dense row, unpacked on first access and then kept."""
         return self.dense_rows()
-
-    def positive_moment(self, r: int, N: int) -> int:
-        """sum_{m>=1} m^r counts[N][m]; r=0 gives the positive-value count."""
-        if r < 0:
-            raise ValueError("r must be >= 0")
-        self._check_row(N)
-        return self.weighted_sums([_positive_power(r)])[0][N]
 
     def full_moments(self, orders) -> dict:
         """{r: sum over all m of m^r counts[N][m] for every N} for each r in
@@ -183,23 +175,15 @@ def symmetrized_family(ell: int, orders, nmax: int) -> dict:
     A_{ell,r} is ``series.appell_sum``; it equals the binomial-weighted
     moment sum_{m>=1} C(m + floor((r-1)/2), r) M(m, N) over the crank
     (ell=1) or rank (ell=3) histogram.  This is the one place the quotient
-    is formed: the Appell sums of all orders are packed side by side, one
-    integer per power of q with one slot per order, and divided by
-    (q;q)_inf once (``series.divide_packed``); p is never built.  The
-    quotient T_r(N) = sum_{k <= N} a_r(k) p(N - k) has
-    |T_r(N)| <= p(nmax) sum |a_r|, so a slot of bits(p(nmax)) +
-    bits(sum |a_r|) + 1 bits holds it, with bits(p(nmax)) bounded by
-    ``series.partition_bits``.  The family's size is estimated first
-    (``series.check_quotient_family``) and refused with
-    ResourceLimitError before anything is built.
+    is formed: the Appell sums of all orders are divided by (q;q)_inf in
+    one pass (``series.euler_quotients``), and p is never built.  The
+    family's size is estimated first (``series.check_quotient_family``)
+    and refused with ResourceLimitError before anything is built.
     """
     orders = list(orders)
     qs.check_quotient_family(orders, nmax)
     sums = [qs.appell_sum(ell, r, nmax).coeffs for r in orders]
-    bits = (qs.partition_bits(nmax) + 1
-            + max((sum(map(abs, a)).bit_length() for a in sums), default=0))
-    packed = [qs.pack_slots(column, bits) for column in zip(*sums)]
-    return dict(zip(orders, qs.divide_packed(packed, len(orders), bits)))
+    return dict(zip(orders, qs.euler_quotients(sums)))
 
 
 def symmetrized_series(ell: int, r: int, nmax: int) -> list:

@@ -3,15 +3,16 @@
 This module builds the q-expansions everything else consumes:
 
 * ``partition_series`` -- 1/(q;q)_inf, whose coefficient of q^N is the
-  partition count p(N), by the pentagonal-number recurrence: the one
-  in-place division by (q;q)_inf (``_divide_by_euler``) applied to 1.
+  partition count p(N), by the pentagonal-number recurrence: the
+  division by (q;q)_inf (``euler_quotients``) applied to 1.
 * ``euler_function`` -- the sparse pentagonal expansion of (q;q)_inf.
 * ``bivariate_series`` -- the two-variable crank and rank generating
   functions, kept factorized (``BivariateSeries``): the sparse numerator
   (q;q)_inf * F(w, q), one column per power of the statistic marker w,
   and nothing else.  Sums over the powers of w, for any number of
-  weights, are one packed division of the numerator by (q;q)_inf; dense
-  Laurent rows are unpacked, with the p they need, only on request.
+  weights, are one packed division of their weighted numerators by
+  (q;q)_inf; dense Laurent rows are unpacked, with the p they need, only
+  on request.
 * ``appell_sum`` -- the one-sided Appell-type sums
   sum_{n>=1} (-1)^{n+1} q^{l*n^2/2 + (r/2+rho)n} / (1-q^n)^r,
   whose quotients by (q;q)_inf generate symmetrized positive moments.
@@ -20,21 +21,23 @@ This module builds the q-expansions everything else consumes:
   whose quotient by (q;q)_inf generates the ospt sequence.
 
 All series arithmetic is exact (Python integers) and silently truncated at
-a fixed order ``nmax``.  Every quotient by (q;q)_inf is the in-place
-division of ``_divide_by_euler``: ``ospt_series`` divides the ospt
-numerator, and ``divide_packed`` divides many series in one pass, packed
-side by side, one integer per power of q with one slot per series:
-``BivariateSeries.weighted_sums`` packs every weighted sum of a table,
-``moments.symmetrized_family`` the Appell sums of every order of a
-family.  Both bound p(nmax) in their slot width by ``partition_bits``,
-so neither builds p.  A product (``ExactSeries.__mul__``) is the direct
-truncated Cauchy product, one pass per nonzero coefficient of its right
-factor; the identity suite multiplies by the sparse ``euler_function``
-to check the division apart from both routes.  Complex floating-point
-evaluation of the same functions, with certified tail bounds, lives in
-the ``*_value`` functions; those sum the defining series directly and
-never go through the truncated integer expansions, so the two routes
-can be played against each other.
+a fixed order ``nmax``.  Every quotient by (q;q)_inf is one call of
+``euler_quotients``, which divides any number of series in one pass of
+the in-place pentagonal recurrence ``_divide_by_euler``, packed side by
+side, one integer per power of q with one slot per series, and sizes
+the slots itself, bounding p(nmax) by ``partition_bits`` so that p is
+never built.  Its callers are ``partition_series`` (the series 1),
+``ospt_series`` (the ospt numerator), ``BivariateSeries.weighted_sums``
+(one weighted numerator per weight) and ``moments.symmetrized_family``
+(the Appell sums of every order of a family).  A product
+(``ExactSeries.__mul__``) is the direct truncated Cauchy product, one
+pass per nonzero coefficient of its right factor; the identity suite
+multiplies by the sparse ``euler_function`` to check the division apart
+from both routes.  Complex floating-point evaluation of the same
+functions, with certified tail bounds, lives in the ``*_value``
+functions; those sum the defining series directly and never go through
+the truncated integer expansions, so the two routes can be played
+against each other.
 Every power of q they need is built by multiplication, as a running
 product from term to term, never by a complex exp or power.  They take a
 complex point or a numpy array of points (the Euler product bounds each
@@ -48,7 +51,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, ResourceLimitError
@@ -135,39 +137,22 @@ class BivariateSeries:
         """[sum_m w(m) (coefficient series of w^m) for w in weights], each a
         list of nmax+1 integers, in one pass for every weight at once.
 
-        The weights enter linearly, so they share one numerator and one
-        division: column m gets the packed weight W(m) = sum_j w_j(m) X^j
-        with X = 2^B, the packed numerator sum_m W(m) columns[m] is formed
-        monomial by monomial, and ``divide_packed`` divides it by
-        (q;q)_inf once and reads back T_j(N) = sum_{m, q0 <= N} w_j(m)
-        columns[m][q0] p(N - q0), the wanted sum, from slot j.
-
-        Only the slots must fit.  p is positive and nondecreasing, so
-        p(N - q0) <= p(nmax) < 2^partition_bits(nmax), and whatever the
-        columns, |T_j(N)| <= p(nmax) * max |w| * sum_{m, q0}
-        |columns[m][q0]|, with max |w| taken over every weight and column;
-        that is below 2^(partition_bits(nmax) + bits(max |w|) +
-        bits(sum |c|)), and B is one bit more, so |T_j(N)| < X/2.
+        The weights enter linearly: weight w_j has the numerator
+        t_j = sum_m w_j(m) columns[m], formed monomial by monomial over
+        the columns where w_j is nonzero, and ``euler_quotients`` divides
+        every t_j by (q;q)_inf in one pass, giving T_j(N) =
+        sum_{m, q0 <= N} w_j(m) columns[m][q0] p(N - q0), the wanted sum.
         """
-        weights = list(weights)
-        count = len(weights)
-        if not count:
-            return []
-        table = [([weight(m) for weight in weights], col)
-                 for m, col in self.columns.items()]
-        top = max(map(abs, chain.from_iterable([w for w, _ in table])),
-                  default=0)
-        total = sum(map(abs, chain.from_iterable(
-            [col.values() for col in self.columns.values()])))
-        bits = (partition_bits(self.nmax) + top.bit_length()
-                + total.bit_length() + 1)
-        acc = [0] * (self.nmax + 1)
-        while table:  # each column's weights are dropped once packed
-            w, col = table.pop()
-            packed = pack_slots(w, bits)
-            for q0, c in col.items():
-                acc[q0] += c * packed
-        return divide_packed(acc, count, bits)
+        numerators = []
+        for weight in weights:
+            t = [0] * (self.nmax + 1)
+            for m, col in self.columns.items():
+                w = weight(m)
+                if w:
+                    for q0, c in col.items():
+                        t[q0] += w * c
+            numerators.append(t)
+        return euler_quotients(numerators)
 
     def _check_row(self, n: int) -> None:
         if not 0 <= n <= self.nmax:
@@ -314,34 +299,39 @@ def _divide_by_euler(t: list) -> list:
     return t
 
 
-def pack_slots(values, bits: int) -> int:
-    """The integer sum_j values[j] 2^(j*bits), by Horner's rule: the
-    values side by side in slots of ``bits`` bits, slot 0 lowest.  The
-    values may have either sign; the sum is exact whatever they are."""
-    packed = 0
-    for x in reversed(values):
-        packed = (packed << bits) + x
-    return packed
+def euler_quotients(numerators) -> list:
+    """[t / (q;q)_inf for t in numerators], each t a list of nmax+1
+    integers of either sign, all in one division.
 
-
-def divide_packed(acc: list, count: int, bits: int) -> list:
-    """Divide ``count`` series packed side by side by (q;q)_inf at once.
-
-    acc[N] = sum_j t_j(N) X^j with X = 2^bits (``pack_slots``) packs the
-    coefficients of q^N of the series t_0, ..., t_{count-1}.
-    ``_divide_by_euler`` divides acc in place; Python integers are exact
-    and the division is linear with integer coefficients, so acc[N]
-    becomes exactly sum_j T_j(N) X^j, where T_j = t_j / (q;q)_inf, and
-    the intermediate values need no bound.  Only the slots must fit: the
-    caller chooses bits so that every |T_j(N)| < X/2.  Adding X/2 to
-    every slot then puts each digit of acc[N] in (0, X): none borrows
-    from its neighbour, and each is read back as T_j(N) + X/2.  Returns
-    [T_0, ..., T_{count-1}], each a list of len(acc) integers.
+    The series are packed side by side, acc[N] = sum_j t_j(N) X^j with
+    X = 2^B, slot 0 lowest (Horner's rule), and ``_divide_by_euler``
+    divides acc in place.  Python integers are exact and the division is
+    linear with integer coefficients, so acc[N] becomes exactly
+    sum_j T_j(N) X^j, where T_j = t_j / (q;q)_inf, and the intermediate
+    values need no bound.  Only the slots must fit.  T_j(N) =
+    sum_{k <= N} t_j(k) p(N - k), and p is positive and nondecreasing, so
+    |T_j(N)| <= p(nmax) sum |t_j| < 2^(partition_bits(nmax) +
+    bits(max_j sum |t_j|)), and B is one bit more: every |T_j(N)| < X/2.
+    Adding X/2 to every slot then puts each digit of acc[N] in (0, X):
+    none borrows from its neighbour, and each is read back as
+    T_j(N) + X/2.  p is never built.
     """
+    numerators = list(numerators)
+    if not numerators:
+        return []
+    nmax = len(numerators[0]) - 1
+    bits = (partition_bits(nmax) + 1
+            + max(sum(map(abs, t)) for t in numerators).bit_length())
+    acc = []
+    for column in zip(*numerators):
+        packed = 0
+        for x in reversed(column):
+            packed = (packed << bits) + x
+        acc.append(packed)
     _divide_by_euler(acc)
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
-    shifts = range(0, count * bits, bits)
+    shifts = range(0, len(numerators) * bits, bits)
     bias = sum(half << s for s in shifts)
     for N, t in enumerate(acc):  # each packed sum is dropped once read
         t += bias
@@ -359,7 +349,7 @@ def partition_series(nmax: int) -> ExactSeries:
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    return ExactSeries(_divide_by_euler([1] + [0] * nmax))
+    return ExactSeries(euler_quotients([[1] + [0] * nmax])[0])
 
 
 def euler_function(nmax: int) -> ExactSeries:
@@ -551,9 +541,9 @@ def ospt_numerator(nmax: int) -> ExactSeries:
 
 
 def ospt_series(nmax: int) -> ExactSeries:
-    """Generating series of ospt(N): ospt_numerator / (q;q)_inf, divided
-    in place by ``_divide_by_euler``."""
-    return ExactSeries(_divide_by_euler(ospt_numerator(nmax).coeffs))
+    """Generating series of ospt(N): ospt_numerator / (q;q)_inf, by
+    ``euler_quotients``."""
+    return ExactSeries(euler_quotients([ospt_numerator(nmax).coeffs])[0])
 
 
 # ---------------------------------------------------------------------------

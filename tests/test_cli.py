@@ -441,6 +441,19 @@ def test_numpy_loaded_only_by_circle(argv, loads_numpy):
         assert (dataclasses, fractions) == ("False", "False")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["tables", "--nmax", "3"], 0), (["nosuch"], 1)])
+def test_runs_as_module(capsys, argv, code):
+    # python -m crankrank.cli runs the command: the same stdout as main()
+    # in process, and the same exit code
+    src = str(Path(crankrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "crankrank.cli", *argv],
+                          capture_output=True, env=env)
+    assert (cli.main(argv), done.returncode) == (code, code)
+    assert done.stdout == capsys.readouterr().out.encode()
+
+
 def test_root_exports_resolve():
     # the package root imports each exported name's module on first access
     import importlib

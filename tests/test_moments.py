@@ -39,18 +39,18 @@ class TestTableBuild:
         with pytest.raises(ValueError):
             small_tables["crank"].distribution(41)
         with pytest.raises(ValueError):
-            small_tables["crank"].positive_moment(1, 41)
+            small_tables["crank"].full_moment(1, 41)
 
 
 class TestMoments:
     def test_positive_first_crank(self, small_tables):
-        assert small_tables["crank"].positive_moment(1, 4) == 6
+        assert small_tables["crank"].positive_moments_upto(1)[4][1] == 6
 
     def test_positive_first_rank(self, small_tables):
-        assert small_tables["rank"].positive_moment(1, 4) == 4
+        assert small_tables["rank"].positive_moments_upto(1)[4][1] == 4
 
     def test_positive_second_is_half_full(self, small_tables):
-        assert small_tables["crank"].positive_moment(2, 4) == 20
+        assert small_tables["crank"].positive_moments_upto(2)[4][2] == 20
         assert small_tables["crank"].full_moment(2, 4) == 40
 
     def test_odd_full_moments_vanish(self, small_tables):
@@ -64,15 +64,10 @@ class TestMoments:
         for kind in ("crank", "rank"):
             table = small_tables[kind]
             full = table.full_even_moments_upto(3)
+            positive = table.positive_moments_upto(6)
             for N in range(41):
                 for k in (1, 2, 3):
-                    assert full[N][k] == 2 * table.positive_moment(2 * k, N)
-
-    def test_bulk_positive_moments(self, small_tables):
-        bulk = small_tables["crank"].positive_moments_upto(4)
-        for N in (0, 1, 7, 23, 40):
-            for r in range(5):
-                assert bulk[N][r] == small_tables["crank"].positive_moment(r, N)
+                    assert full[N][k] == 2 * positive[N][2 * k]
 
 
 class TestSymmetrized:
@@ -141,7 +136,7 @@ class TestBasisChange:
 
     def test_moment_reconciliation_small(self, small_tables):
         for kind, ell in (("crank", 1), ("rank", 3)):
-            table = small_tables[kind]
+            positive = small_tables[kind].positive_moments_upto(5)
             for r in range(1, 6):
                 coeffs = mm.basis_change_coeffs(r)
                 sym = {
@@ -153,16 +148,14 @@ class TestBasisChange:
                     for l in range(1, r):
                         if coeffs[l]:
                             want += coeffs[l] * sym[l][N]
-                    assert table.positive_moment(r, N) == want
+                    assert positive[N][r] == want
 
     def test_series_route_positive_moments(self, small_tables):
         for kind in ("crank", "rank"):
+            positive = small_tables[kind].positive_moments_upto(10)
             for r in range(1, 11):
                 got = mm.positive_moment_series(kind, r, 40)
-                want = [
-                    small_tables[kind].positive_moment(r, N) for N in range(41)
-                ]
-                assert got == want
+                assert got == [positive[N][r] for N in range(41)]
 
 
 def _binomial_basis_polynomial(ell):
@@ -229,9 +222,9 @@ class TestSptOspt:
         assert all(b >= a for a, b in zip(ospt[1:], ospt[2:]))
 
     def test_durfee_route(self):
-        table = mm.CrankRankTable.build("crank", 25)
+        positive = mm.CrankRankTable.build("crank", 25).positive_moments_upto(1)
         for N in range(1, 26):
-            assert table.positive_moment(1, N) == pt.brute_aggregates(N).durfee_sum
+            assert positive[N][1] == pt.brute_aggregates(N).durfee_sum
 
 
 @pytest.mark.parametrize("ell, orders, nmax", [

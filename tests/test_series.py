@@ -155,17 +155,20 @@ class TestPackedDivision:
             assert family[r] == schoolbook_product(qs.appell_sum(ell, r, nmax), p)
 
     @given(series=st.integers(1, 64).flatmap(lambda n: st.lists(
-               _coefficient_lists(n), min_size=1, max_size=8)),
-           spare=st.integers(0, 3))
-    @example(series=[[-BIG] * 64, [BIG] * 64, [-1] * 64], spare=0)
+               _coefficient_lists(n), max_size=8)))
+    @example(series=[[-BIG] * 64, [BIG] * 64, [-1] * 64])
+    @example(series=[[0] * 64, [0] * 64])
+    @example(series=[])
     @settings(max_examples=100, deadline=None)
-    def test_divide_packed(self, series, spare):
-        # each slot just wide enough (spare = 0) or a few bits wider
-        alone = [qs._divide_by_euler(list(t)) for t in series]
-        bits = max(abs(x) for T in alone for x in T).bit_length() + 1 + spare
-        packed = [sum(t << (j * bits) for j, t in enumerate(column))
-                  for column in zip(*series)]
-        assert qs.divide_packed(packed, len(series), bits) == alone
+    def test_euler_quotients(self, series):
+        # every quotient, divided in one packed pass, times (q;q)_inf gives
+        # back its numerator and equals the division of its series alone
+        quotients = qs.euler_quotients(series)
+        assert len(quotients) == len(series)
+        for t, T in zip(series, quotients):
+            euler = qs.euler_function(len(t) - 1)
+            assert (qs.ExactSeries(T) * euler).coeffs == t
+            assert T == qs._divide_by_euler(list(t))
 
     @pytest.mark.parametrize("nmax", [0, 1, 600])
     def test_ospt_series(self, nmax):
