@@ -18,7 +18,11 @@ never through truncated integer expansions, blind to the essential singularity.
 The Euler factor 1/(q;q)_inf of the quadrature integrand is kept per node
 set (``_euler_at_nodes``), so every (ell, r) integrated on the same nodes
 shares one evaluation.  This is the package's only module that imports
-numpy at load time; the command line loads it for ``circle`` only.
+numpy at load time; the command line loads it for ``circle`` only, on
+one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.  The
+16-point Gauss-Legendre rule is written out (``_GL_NODES``,
+``_GL_WEIGHTS``), so no ``numpy.polynomial`` is loaded and no LAPACK
+routine runs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from itertools import count
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import series as qs
 from .errors import ConvergenceError
@@ -270,7 +273,25 @@ class QuadratureReport(NamedTuple):
         }
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+#: The 16-point Gauss-Legendre rule on [-1, 1], written out so that no
+#: LAPACK eigensolver runs at import; each literal is the ``repr`` of
+#: ``numpy.polynomial.legendre.leggauss(16)``, equal to it bit for bit.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176,
+])
 
 
 def _gl_nodes(lo: float, hi: float, panels: int):

@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 usage error, 2 verification/convergence failure,
 
 Each invocation pays only for the command it runs: ``verify``, ``asym``,
 ``parity`` and ``circle`` import their modules when they start (``circle``
-with them numpy, which no other command loads).  The tabular commands
+with them numpy, which no other command loads; ``circle`` first sets
+``OPENBLAS_NUM_THREADS`` to 1 unless it is set, so that numpy starts no
+idle BLAS threads).  The tabular commands
 write one row format: as CSV, piece by piece to stdout or ``--out``
 (``tables`` one dense row at a time), or as JSON, dumped whole as one
 list of the same rows.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import moments
@@ -270,6 +273,11 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_circle(args) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, when numpy loads; circle's one BLAS
+        # call, a dot product over the panels, needs no thread pool.  A
+        # value the user set wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import circle  # numpy is loaded for this command only
 
     ladder = args.ladder

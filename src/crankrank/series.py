@@ -23,10 +23,11 @@ This module builds the q-expansions everything else consumes:
 All series arithmetic is exact (Python integers) and silently truncated at
 a fixed order ``nmax``.  Every quotient by (q;q)_inf is one call of
 ``euler_quotients``, which divides any number of series in one pass of
-the in-place pentagonal recurrence ``_divide_by_euler``, packed side by
-side, one integer per power of q with one slot per series, and sizes
-the slots itself, bounding p(nmax) by ``partition_bits`` so that p is
-never built.  Its callers are ``partition_series`` (the series 1),
+the in-place pentagonal recurrence ``_divide_by_euler``: a single series
+as it is, two or more packed side by side by halves, one integer per
+power of q with one slot per series.  It sizes each slot for its own
+series, bounding p(nmax) by ``partition_bits`` so that p is never
+built.  Its callers are ``partition_series`` (the series 1),
 ``ospt_series`` (the ospt numerator), ``BivariateSeries.weighted_sums``
 (one weighted numerator per weight) and ``moments.symmetrized_family``
 (the Appell sums of every order of a family).  A product
@@ -301,42 +302,76 @@ def _divide_by_euler(t: list) -> list:
 
 def euler_quotients(numerators) -> list:
     """[t / (q;q)_inf for t in numerators], each t a list of nmax+1
-    integers of either sign, all in one division.
+    integers of either sign, all in one division; the numerators are
+    left unchanged.
 
-    The series are packed side by side, acc[N] = sum_j t_j(N) X^j with
-    X = 2^B, slot 0 lowest (Horner's rule), and ``_divide_by_euler``
+    A single series is divided as it is.  Two or more are packed side by
+    side, acc[N] = sum_j t_j(N) 2^(o_j), slot j holding the B_j bits from
+    o_j = B_0 + ... + B_(j-1) on, slot 0 lowest, and ``_divide_by_euler``
     divides acc in place.  Python integers are exact and the division is
     linear with integer coefficients, so acc[N] becomes exactly
-    sum_j T_j(N) X^j, where T_j = t_j / (q;q)_inf, and the intermediate
-    values need no bound.  Only the slots must fit.  T_j(N) =
-    sum_{k <= N} t_j(k) p(N - k), and p is positive and nondecreasing, so
-    |T_j(N)| <= p(nmax) sum |t_j| < 2^(partition_bits(nmax) +
-    bits(max_j sum |t_j|)), and B is one bit more: every |T_j(N)| < X/2.
-    Adding X/2 to every slot then puts each digit of acc[N] in (0, X):
-    none borrows from its neighbour, and each is read back as
-    T_j(N) + X/2.  p is never built.
+    sum_j T_j(N) 2^(o_j), where T_j = t_j / (q;q)_inf, and the
+    intermediate values need no bound.  Only the slots must fit.
+    T_j(N) = sum_{k <= N} t_j(k) p(N - k), and p is positive and
+    nondecreasing, so |T_j(N)| <= p(nmax) sum |t_j| <
+    2^(partition_bits(nmax) + bits(sum |t_j|)), and B_j is one bit more:
+    every |T_j(N)| < 2^(B_j - 1).  Adding 2^(B_j - 1) to every slot then
+    puts each slot of acc[N] in [0, 2^(B_j)): none borrows from its
+    neighbour, and each is read back as T_j(N) + 2^(B_j - 1).  p is never
+    built.
+
+    The pack and the unpack go by halves, so that no step shifts a whole
+    packed integer once per slot.  Each packing level adds neighbouring
+    pairs of series, the upper one shifted past the slots of the lower
+    one, so that a level holds blocks of twice as many slots as the one
+    before; an odd series out at the top of a level moves up as it is.
+    The unpack splits each block of slots into its lower half (a mask)
+    and its upper half (a shift), down to single slots.  Both work in
+    place, each packed integer dropped as soon as it is merged or split,
+    so the packed series is held in memory only once.
     """
     numerators = list(numerators)
-    if not numerators:
-        return []
-    nmax = len(numerators[0]) - 1
-    bits = (partition_bits(nmax) + 1
-            + max(sum(map(abs, t)) for t in numerators).bit_length())
-    acc = []
-    for column in zip(*numerators):
-        packed = 0
-        for x in reversed(column):
-            packed = (packed << bits) + x
-        acc.append(packed)
-    _divide_by_euler(acc)
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    shifts = range(0, len(numerators) * bits, bits)
-    bias = sum(half << s for s in shifts)
-    for N, t in enumerate(acc):  # each packed sum is dropped once read
-        t += bias
-        acc[N] = [((t >> s) & mask) - half for s in shifts]
-    return [list(sums) for sums in zip(*acc)]
+    if len(numerators) < 2:
+        return [_divide_by_euler(list(t)) for t in numerators]
+    head = partition_bits(len(numerators[0]) - 1) + 1
+    offsets = [0]  # slot j holds bits offsets[j] up to offsets[j + 1]
+    for t in numerators:
+        offsets.append(offsets[-1] + head + sum(map(abs, t)).bit_length())
+    # level[i] holds the slots from i * size on; a copy of each list, so
+    # that the numerators stay as they are
+    level, size = [list(t) for t in numerators], 1
+    while len(level) > 1:
+        for i, (lo, hi) in enumerate(zip(level[::2], level[1::2])):
+            w = offsets[(2 * i + 1) * size] - offsets[2 * i * size]
+            for N in reversed(range(len(lo))):  # hi is emptied as it is added
+                lo[N] += hi.pop() << w
+        del level[1::2]
+        size *= 2
+    acc = _divide_by_euler(level.pop())
+    # 2^(B_j - 1), the top bit of each slot, added while acc is split first
+    bias = sum(1 << (b - 1) for b in offsets[1:])
+    quotients = []
+    # (series, first slot, slots) still to split, lowest slots last
+    todo = [(acc, 0, len(numerators))]
+    del acc
+    while todo:
+        t, j, slots = todo.pop()
+        if slots == 1:
+            half = 1 << (offsets[j + 1] - offsets[j] - 1)
+            quotients.append([x - half for x in t])
+            continue
+        low = slots // 2
+        w = offsets[j + low] - offsets[j]
+        mask = (1 << w) - 1
+        high = []
+        for N, x in enumerate(t):  # each packed x is dropped once split
+            if bias:
+                x += bias
+            high.append(x >> w)
+            t[N] = x & mask
+        bias = 0
+        todo += [(high, j + low, slots - low), (t, j, low)]
+    return quotients
 
 
 def partition_series(nmax: int) -> ExactSeries:

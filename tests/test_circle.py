@@ -357,7 +357,18 @@ def test_circle_builds_no_exact_data():
     # every caller passes the exact coefficient in, so circle loads no
     # exact-moment module of its own
     src = str(Path(cm.__file__).resolve().parents[1])
-    probe = "import sys, crankrank.circle; print('crankrank.moments' in sys.modules)"
+    probe = ("import sys, crankrank.circle; print('crankrank.moments' in "
+             "sys.modules, 'numpy.polynomial' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert done.stdout.split() == ["False"]
+    # nor numpy.polynomial: the Gauss-Legendre rule is written out
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_gauss_legendre_rule_is_leggauss():
+    # the written-out 16-point rule equals numpy's, bit for bit
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert cm._GL_NODES.tolist() == nodes.tolist()
+    assert cm._GL_WEIGHTS.tolist() == weights.tolist()

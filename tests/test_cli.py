@@ -454,6 +454,35 @@ def test_runs_as_module(capsys, argv, code):
     assert done.stdout == capsys.readouterr().out.encode()
 
 
+# Runs the CLI in a fresh interpreter and prints, to stderr, its exit code
+# and OPENBLAS_NUM_THREADS as the command left it.
+_BLAS_PROBE = """
+import os, sys
+from crankrank import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
+
+def test_circle_runs_one_blas_thread_unless_set():
+    # circle loads numpy on one OpenBLAS thread, a count the user set
+    # wins, and the output is the same bytes either way; each run is a
+    # subprocess, so the test's own environment is never written
+    src = str(Path(crankrank.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    argv = ["circle", "--r", "3", "--ell", "1", "--ladder", "50"]
+    unset, user = (
+        subprocess.run([sys.executable, "-c", _BLAS_PROBE, *argv],
+                       capture_output=True, env=run_env, check=True)
+        for run_env in (env, dict(env, OPENBLAS_NUM_THREADS="2")))
+    assert unset.stderr.split()[-2:] == [b"0", b"1"]
+    assert user.stderr.split()[-2:] == [b"0", b"2"]
+    assert unset.stdout == user.stdout
+    assert json.loads(unset.stdout)[0]["N"] == 50
+
+
 def test_root_exports_resolve():
     # the package root imports each exported name's module on first access
     import importlib

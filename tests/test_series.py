@@ -159,6 +159,10 @@ class TestPackedDivision:
     @example(series=[[-BIG] * 64, [BIG] * 64, [-1] * 64])
     @example(series=[[0] * 64, [0] * 64])
     @example(series=[])
+    # odd series out at the top of a level, and several levels of halves
+    @example(series=[[j - 1, -j * BIG, 2 * j] for j in range(3)])
+    @example(series=[[j - 2, -j * BIG, 2 * j, 1] for j in range(5)])
+    @example(series=[[(-1) ** j * j, j * BIG, -j] * 4 for j in range(33)])
     @settings(max_examples=100, deadline=None)
     def test_euler_quotients(self, series):
         # every quotient, divided in one packed pass, times (q;q)_inf gives

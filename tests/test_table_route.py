@@ -152,9 +152,10 @@ def test_weighted_sums_at_the_slot_bound():
     # one column 3 q^0 and p(3) = 3: weight w_j has the numerator
     # t_j = 3 w_j q^0, and T_j(3) = 9 w_j attains the bound p(nmax) sum|t_j|
     # that the slot width rests on, with neighbours of opposite sign.
-    # |9 (2^200 - 1)| > 2^203, so a slot needs 205 bits; it gets
-    # partition_bits(3) + bits(max_j sum|t_j|) + 1 = 9 + 202 + 1 = 212, the
-    # 9 bits of partition_bits(3) being 7 more than bits(p(3))
+    # |9 (2^200 - 1)| > 2^203, so such a slot needs 205 bits; it gets
+    # partition_bits(3) + bits(sum|t_j|) + 1 = 9 + 202 + 1 = 212, the
+    # 9 bits of partition_bits(3) being 7 more than bits(p(3)), and the
+    # slot of weight 1 gets 9 + 2 + 1 = 12 bits between two wide ones
     top = 2**200 - 1
     assert (qs.partition_bits(3), (3 * top).bit_length()) == (9, 202)
     biv = qs.BivariateSeries({0: {0: 3}}, 3)
