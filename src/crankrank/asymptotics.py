@@ -181,13 +181,6 @@ def growth_argument(N: int) -> float:
     return math.pi * math.sqrt(2.0 * N / 3.0)
 
 
-def hardy_ramanujan_log(N: int) -> float:
-    """log of the leading partition asymptotic e^{pi sqrt(2N/3)}/(4 sqrt(3) N)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return growth_argument(N) - math.log(4.0 * math.sqrt(3.0) * N)
-
-
 PREDICT_TARGETS = ("mu", "eta", "M_pos", "N_pos", "diff")
 
 

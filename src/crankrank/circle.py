@@ -304,10 +304,12 @@ def _gl_nodes(lo: float, hi: float, panels: int):
 
 
 def _composite_gl(fn, lo: float, hi: float, panels: int) -> complex:
-    """``fn(lo, hi, panels)`` returns the integrand at ``_gl_nodes(lo, hi, panels)``,
-    so an integrand can reuse a factor computed once per node set."""
-    vals = fn(lo, hi, panels).reshape(panels, -1)
-    half = _gl_nodes(lo, hi, panels)[1]
+    """``fn(xs, lo, hi, panels)`` returns the integrand at the nodes ``xs``
+    of ``_gl_nodes(lo, hi, panels)``, built once here; the key (lo, hi,
+    panels) lets an integrand reuse a factor computed once per node set."""
+    xs, half = _gl_nodes(lo, hi, panels)
+    vals = fn(xs, lo, hi, panels).reshape(panels, -1)
+    del xs  # free before the weighted sum allocates its products
     return complex((vals * _GL_WEIGHTS[None, :]).sum(axis=1) @ half)
 
 
@@ -334,15 +336,15 @@ def check_quadrature_order(N: int) -> None:
         raise ValueError("N must be in [20, 400] for double-precision quadrature")
 
 
-def _circle_points(N: int, lo: float, hi: float, panels: int):
-    """The nodes x of ``_gl_nodes(lo, hi, panels)`` and q = e^{-pi/sqrt(6N) + 2 pi i x}."""
-    xs = _gl_nodes(lo, hi, panels)[0]
-    return xs, np.exp(-math.pi / math.sqrt(6.0 * N) + 2j * math.pi * xs)
+def _circle_q(N: int, xs: np.ndarray) -> np.ndarray:
+    """q = e^{-pi/sqrt(6N) + 2 pi i x} at the nodes x."""
+    return np.exp(-math.pi / math.sqrt(6.0 * N) + 2j * math.pi * xs)
 
 
 @lru_cache(maxsize=None)
 def _euler_at_nodes(N: int, lo: float, hi: float, panels: int) -> np.ndarray:
-    """1/(q;q)_inf at ``_circle_points(N, lo, hi, panels)``, read-only.
+    """1/(q;q)_inf at ``_circle_q(N, xs)`` for the nodes xs of
+    ``_gl_nodes(lo, hi, panels)``, read-only.
 
     The Euler factor of the ``wright_integrals`` integrand does not depend
     on (ell, r), so every quotient integrated on the same nodes shares it.
@@ -350,8 +352,8 @@ def _euler_at_nodes(N: int, lo: float, hi: float, panels: int) -> np.ndarray:
     0.3 MB for the four N of 50..400 with default panels.
     """
     # evaluator tolerance far below any quadrature target
-    value = qs.euler_inverse_value(_circle_points(N, lo, hi, panels)[1],
-                                   1e-15).value
+    q = _circle_q(N, _gl_nodes(lo, hi, panels)[0])
+    value = qs.euler_inverse_value(q, 1e-15).value
     value.flags.writeable = False
     return value
 
@@ -377,8 +379,8 @@ def wright_integrals(ell: int, r: int, N: int, exact: int) -> QuadratureReport:
     x_split = 1.0 / (2.0 * math.sqrt(6.0 * N))
     amplitude = math.exp(math.pi * math.sqrt(N / 6.0))
 
-    def integrand(lo: float, hi: float, panels: int) -> np.ndarray:
-        xs, q = _circle_points(N, lo, hi, panels)
+    def integrand(xs, lo: float, hi: float, panels: int) -> np.ndarray:
+        q = _circle_q(N, xs)
         f = (qs.appell_sum_value(ell, r, q, 1e-15).value
              * _euler_at_nodes(N, lo, hi, panels))
         return f * amplitude * np.exp(-2j * math.pi * N * xs)
@@ -419,8 +421,8 @@ def wright_auxiliary(s: float, N: int) -> complex:
         raise ValueError("N must be >= 1")
     c = math.pi * math.sqrt(N / 6.0)
 
-    def integrand(lo: float, hi: float, panels: int) -> np.ndarray:
-        v = 1.0 + 1j * _gl_nodes(lo, hi, panels)[0]
+    def integrand(xs, lo: float, hi: float, panels: int) -> np.ndarray:
+        v = 1.0 + 1j * xs
         return np.exp(s * np.log(v) + c * (v + 1.0 / v)) / (2.0 * math.pi)
 
     scale = math.exp(2.0 * c) / (2.0 * math.pi)

@@ -14,13 +14,14 @@ part, rather than every part.
 Enumeration is iterative: ``partitions_of`` steps one list of blocks from
 the all-ones partition to ``(n,)`` by a successor rule, in lexicographic
 order of the parts (the same order as the recursive reference generator
-in the tests).  ``brute_aggregates`` enumerates the partitions of one n
-once and tallies every statistic in that single pass.
+in the tests).  ``brute_aggregates`` enumerates the partitions of n once
+and tallies every statistic of every partition of every N <= n in that
+single pass: each partition of N is a partition of n with n - N of its
+ones taken off.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import ResourceLimitError
@@ -45,6 +46,16 @@ class BruteAggregates(NamedTuple):
     rank: dict
 
 
+def _check_enumerable(n: int) -> None:
+    """Refuse an n whose partitions cannot be enumerated."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"partition enumeration capped at n <= {ENUMERATION_CAP}, got {n}"
+        )
+
+
 def partitions_of(n: int):
     """Yield every partition of n exactly once, as blocks, in lexicographic
     order of the parts.
@@ -60,12 +71,7 @@ def partitions_of(n: int):
     Only the blocks from the raised part on are rebuilt, and the raised
     part joins the block before it when they become equal.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"partition enumeration capped at n <= {ENUMERATION_CAP}, got {n}"
-        )
+    _check_enumerable(n)
     blocks = [(1, n)] if n else []
     while True:
         yield tuple(blocks)
@@ -184,26 +190,87 @@ def brute_distribution(n: int, kind: str) -> dict:
     """
     if kind not in ("crank", "rank"):
         raise ValueError(f"kind must be 'crank' or 'rank', got {kind!r}")
-    return getattr(brute_aggregates(n), kind)
+    return getattr(brute_aggregates(n)[n], kind)
 
 
-def brute_aggregates(n: int) -> BruteAggregates:
-    """Every brute-force statistic of the partitions of n, in one pass.
+def brute_aggregates(n: int) -> list:
+    """Every brute-force statistic of the partitions of each N = 0..n, from
+    one enumeration of the partitions of n.
 
-    Returns the crank and rank histograms together with the totals of
-    spt, string counts and Durfee sizes, all from a single enumeration.
+    Returns the ``BruteAggregates`` of N at index N: the crank and rank
+    histograms, each in the order its values first occur when
+    ``partitions_of(N)`` is enumerated, and the totals of spt, string
+    counts and Durfee sizes.  The size checks of ``partitions_of`` run
+    before any per-N list is allocated.
+
+    Every partition of N <= n is mu + 1^j, where mu holds its parts of at
+    least 2, of size M in all, and j = N - M counts its ones.  Then
+    mu + 1^(n-M) is the partition of n that ends in n - M ones, so one
+    pass over the partitions of n meets each mu exactly once.  It tallies
+    mu itself into N = M, with each statistic read off its definition,
+    and mu + 1^j into N = M + j for j = 1..n-M.  Adding ones to two
+    partitions of N keeps their lexicographic order, because they first
+    differ at a part both have; so each N's partitions are met in the
+    order ``partitions_of(N)`` yields them, and each histogram keeps its
+    key order.
+
+    For j >= 1 each statistic of mu + 1^j follows from its definition:
+
+    * rank: the largest part is that of mu + 1 and every one adds a part,
+      so the rank is rank(mu + 1) - (j - 1);
+    * crank: with j ones it is (#parts > j) - j, and no one exceeds j, so
+      it is (#parts of mu greater than j) - j; as j grows the blocks of mu
+      with part <= j drop out of that count from the smallest part up;
+    * smallest-part count: the smallest part is 1, occurring j times;
+    * Durfee size: a one at place d >= 2 is below d, so a one counts only
+      as the first part, when mu is empty; the size is that of mu + 1;
+    * strings: a run from s >= 2 never reaches 1, and an even string from
+      s = 2 needs 1 absent, so the ones bear only on the odd string from
+      s = 1, which needs exactly one 1; the count is that of mu + 1 at
+      j = 1 and of mu + 1^2 for every j >= 2.
     """
-    crank = Counter()
-    rank = Counter()
-    count = spt = strings = durfee = 0
+    _check_enumerable(n)
+    count, spt, strings, durfee = ([0] * (n + 1) for _ in range(4))
+    crank = [{} for _ in range(n + 1)]
+    rank = [{} for _ in range(n + 1)]
     for blocks in partitions_of(n):
-        count += 1
-        crank[crank_of(blocks)] += 1
-        rank[rank_of(blocks)] += 1
-        spt += smallest_part_count(blocks)
-        strings += string_count(blocks)
-        durfee += durfee_size(blocks)
-    return BruteAggregates(
-        n=n, count=count, spt=spt, ospt_strings=strings, durfee_sum=durfee,
-        crank=dict(crank), rank=dict(rank),
-    )
+        ones = blocks[-1][1] if blocks and blocks[-1][0] == 1 else 0
+        mu = blocks[:-1] if ones else blocks
+        size = n - ones
+        count[size] += 1
+        key = crank_of(mu)
+        crank[size][key] = crank[size].get(key, 0) + 1
+        key = rank_of(mu)
+        rank[size][key] = rank[size].get(key, 0) + 1
+        spt[size] += smallest_part_count(mu)
+        strings[size] += string_count(mu)
+        durfee[size] += durfee_size(mu)
+        if not ones:
+            continue
+        with_one = mu + ((1, 1),)
+        rank_one = rank_of(with_one)
+        durfee_one = durfee_size(with_one)
+        strings_one = string_count(with_one)
+        strings_more = string_count(mu + ((1, 2),))
+        exceeding = sum(mult for _, mult in mu)  # parts of mu greater than j
+        below = len(mu)  # mu[:below] are the blocks with parts greater than j
+        for j in range(1, ones + 1):
+            N = size + j
+            while below and mu[below - 1][0] <= j:
+                below -= 1
+                exceeding -= mu[below][1]
+            count[N] += 1
+            key = exceeding - j
+            crank[N][key] = crank[N].get(key, 0) + 1
+            key = rank_one + 1 - j
+            rank[N][key] = rank[N].get(key, 0) + 1
+            spt[N] += j
+            strings[N] += strings_one if j == 1 else strings_more
+            durfee[N] += durfee_one
+    return [
+        BruteAggregates(
+            n=N, count=count[N], spt=spt[N], ospt_strings=strings[N],
+            durfee_sum=durfee[N], crank=crank[N], rank=rank[N],
+        )
+        for N in range(n + 1)
+    ]

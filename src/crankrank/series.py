@@ -106,13 +106,6 @@ class ExactSeries:
                 out[j:] = [c + x * y for c, x in zip(out[j:], self.coeffs)]
         return ExactSeries(out)
 
-    def partial_value(self, x: complex) -> complex:
-        """Horner evaluation of the truncated polynomial at x."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 class BivariateSeries:
     """A two-variable generating function kept factorized: Num(w, q) / (q;q)_inf.

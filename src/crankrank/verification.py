@@ -54,9 +54,10 @@ class SuiteContext(SimpleNamespace):
     - ``pos_crank``, ``pos_rank``: ``pos_crank[N][r]``, r = 0..MOMENT_ORDER_MAX;
     - ``sym_crank``, ``sym_rank``: r -> symmetrized coefficient list;
     - ``spt``, ``ospt``: the two sequences for N = 0..nmax;
-    - ``brute``: ``brute[N] = partitions.brute_aggregates(N)`` for
-      N = 0..brute_nmax, the one enumeration of each N that every
-      brute-force comparison reads.
+    - ``brute``: ``partitions.brute_aggregates(brute_nmax)``, whose entry
+      ``brute[N]`` holds the brute-force statistics of N, N = 0..brute_nmax;
+      one enumeration of the partitions of brute_nmax, read by every
+      brute-force comparison.
     """
 
 
@@ -89,7 +90,7 @@ def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
         sym_rank=sym_rank,
         spt=spt,
         ospt=ospt,
-        brute=[partitions.brute_aggregates(N) for N in range(brute_nmax + 1)],
+        brute=partitions.brute_aggregates(brute_nmax),
     )
 
 

@@ -541,11 +541,22 @@ def test_euler_factor_once_per_node_set(capsys, monkeypatch):
         euler_nodes.append(q.tobytes())
         return euler_value(q, tol)
 
+    node_sets = []
+    gl_nodes = circle._gl_nodes
+
+    def counting_gl_nodes(*key):
+        node_sets.append(key)
+        return gl_nodes(*key)
+
     monkeypatch.setattr(qs, "appell_sum_value", counting_appell)
     monkeypatch.setattr(qs, "euler_inverse_value", counting_euler)
+    monkeypatch.setattr(circle, "_gl_nodes", counting_gl_nodes)
     assert cli.main(["circle", "--r", "1,2,3", "--ladder", "50,60"]) == 0
     capsys.readouterr()
     assert len(euler_nodes) == len(set(euler_nodes))
     assert set(euler_nodes) == set(appell_nodes)
     # 2 N x 2 arcs x (start, one doubling) node sets, each used by 6 pairs
     assert (len(appell_nodes), len(euler_nodes)) == (48, 8)
+    # each evaluation builds its node set once, and the Euler memo builds
+    # it once more when it fills that node set
+    assert len(node_sets) == 48 + 8

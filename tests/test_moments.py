@@ -89,8 +89,9 @@ class TestSymmetrized:
 
     def test_matches_binomial_over_enumeration(self):
         # independent of the table machinery: brute histograms
+        brute = pt.brute_aggregates(25)
         hists = {
-            kind: {N: pt.brute_distribution(N, kind) for N in range(2, 26)}
+            kind: {N: getattr(brute[N], kind) for N in range(2, 26)}
             for kind in ("crank", "rank")
         }
         for ell, kind in ((1, "crank"), (3, "rank")):
@@ -208,8 +209,9 @@ class TestSptOspt:
 
     def test_against_enumeration(self):
         spt, ospt = mm.spt_ospt(25)
+        brute = pt.brute_aggregates(25)
         for N in range(1, 26):
-            agg = pt.brute_aggregates(N)
+            agg = brute[N]
             assert spt[N] == agg.spt
             assert ospt[N] == agg.ospt_strings
 
@@ -223,8 +225,9 @@ class TestSptOspt:
 
     def test_durfee_route(self):
         positive = mm.CrankRankTable.build("crank", 25).positive_moments_upto(1)
+        brute = pt.brute_aggregates(25)
         for N in range(1, 26):
-            assert positive[N][1] == pt.brute_aggregates(N).durfee_sum
+            assert positive[N][1] == brute[N].durfee_sum
 
 
 @pytest.mark.parametrize("ell, orders, nmax", [

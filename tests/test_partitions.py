@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import groupby
 
@@ -146,23 +147,25 @@ class TestDistributions:
 
 class TestAggregates:
     def test_four(self):
-        agg = pt.brute_aggregates(4)
+        agg = pt.brute_aggregates(4)[4]
         assert (agg.spt, agg.ospt_strings, agg.durfee_sum) == (10, 2, 6)
         with pytest.raises(AttributeError):
             agg.spt = 0
 
     def test_one(self):
-        agg = pt.brute_aggregates(1)
+        agg = pt.brute_aggregates(1)[1]
         assert (agg.spt, agg.ospt_strings, agg.durfee_sum) == (1, 1, 1)
 
     def test_two(self):
-        agg = pt.brute_aggregates(2)
+        agg = pt.brute_aggregates(2)[2]
         assert (agg.spt, agg.ospt_strings, agg.durfee_sum) == (3, 1, 2)
 
     def test_one_pass_matches_per_partition_statistics(self):
         # the pinned failure reports print the brute histograms in insertion
         # order, so the order of first occurrence must match as well
-        for n in range(41):
+        aggs = pt.brute_aggregates(40)
+        assert [agg.n for agg in aggs] == list(range(41))
+        for n, agg in enumerate(aggs):
             crank, rank = Counter(), Counter()
             spt = strings = durfee = 0
             for blocks in pt.partitions_of(n):
@@ -172,15 +175,45 @@ class TestAggregates:
                 spt += tuple_smallest_part_count(parts)
                 strings += tuple_string_count(parts)
                 durfee += tuple_durfee_size(parts)
-            agg = pt.brute_aggregates(n)
             assert list(agg.crank.items()) == list(crank.items())
             assert list(agg.rank.items()) == list(rank.items())
             assert (agg.count, agg.spt, agg.ospt_strings, agg.durfee_sum) == (
                 sum(crank.values()), spt, strings, durfee)
 
     def test_string_totals_weakly_increase(self):
-        values = [pt.brute_aggregates(n).ospt_strings for n in range(1, 22)]
+        values = [agg.ospt_strings for agg in pt.brute_aggregates(21)[1:]]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_zero(self):
+        assert pt.brute_aggregates(0) == [pt.BruteAggregates(
+            n=0, count=1, spt=0, ospt_strings=0, durfee_sum=0,
+            crank={0: 1}, rank={0: 1})]
+
+    def test_prefix(self):
+        # the records of N <= m do not depend on the m or n enumerated
+        aggs = [pt.brute_aggregates(m) for m in range(31)]
+        for n, longer in enumerate(aggs):
+            for m, shorter in enumerate(aggs[:n + 1]):
+                for N in range(m + 1):
+                    a, b = shorter[N], longer[N]
+                    assert a == b, (N, m, n)
+                    assert list(a.crank.items()) == list(b.crank.items())
+                    assert list(a.rank.items()) == list(b.rank.items())
+
+    @pytest.mark.parametrize("n, error", [(81, ResourceLimitError),
+                                          (10**5, ResourceLimitError),
+                                          (-1, ValueError)])
+    def test_refused_before_allocation(self, n, error):
+        # the refusal itself takes about 2 kB; at n = 10**5 a single list
+        # with one entry per N would take 0.8 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                pt.brute_aggregates(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 @st.composite

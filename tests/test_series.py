@@ -16,6 +16,14 @@ def brute_partition_count(n):
     return sum(1 for _ in partitions.partitions_of(n))
 
 
+def partial_value(series, x):
+    """Horner evaluation of the truncated polynomial at x."""
+    acc = 0
+    for c in reversed(series.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def schoolbook_product(a, b):
     """Reference truncated product: the plain O(nmax^2) Cauchy loop."""
     nmax = a.nmax
@@ -223,8 +231,9 @@ class TestBivariateSeries:
     def test_rows_match_enumeration(self, kind):
         biv = qs.bivariate_series(kind, 25)
         start = 2 if kind == "crank" else 0
+        brute = partitions.brute_aggregates(25)
         for n in range(start, 26):
-            assert biv.distribution(n) == partitions.brute_distribution(n, kind)
+            assert biv.distribution(n) == getattr(brute[n], kind)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -287,14 +296,14 @@ class TestComplexEvaluation:
         series = qs.partition_series(80)
         for x in (0.05, 0.2, 0.35, 0.5):
             res = qs.euler_inverse_value(x, tol=1e-13)
-            partial = series.partial_value(x)
+            partial = partial_value(series, x)
             geom_tail = 2 * partial * x ** 81 / (1 - x)
             assert abs(res.value - partial) <= res.tail_bound + geom_tail + 1e-12
 
     def test_appell_matches_series_partial_sum(self):
         series = qs.appell_sum(1, 2, 60)
         res = qs.appell_sum_value(1, 2, 0.1, tol=1e-12)
-        assert abs(res.value - series.partial_value(0.1)) < 1e-12
+        assert abs(res.value - partial_value(series, 0.1)) < 1e-12
 
     def test_ospt_numerator_limit(self):
         res = qs.ospt_numerator_value(math.exp(-1e-4), tol=1e-10)

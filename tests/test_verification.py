@@ -288,7 +288,47 @@ FAILURE_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("corrupt, expected, line", FAILURE_REPORTS)
+# Failures planted at the first and the last index of the range a check's
+# detail states, so that a check which skips either end is caught; also at
+# build_context(30, 10).
+RANGE_REPORTS = [
+    _failure(
+        lambda ctx, mp: ctx.pos_rank[2].__setitem__(1, ctx.pos_crank[2][1]),
+        "positive-moment-inequality", "inequality fails",
+        {"r": "1", "N": "2"},
+        "FAIL positive-moment-inequality: inequality fails | first "
+        "counterexample: {'r': 1, 'N': 2}",
+        id="positive-moment-inequality-first",
+    ),
+    _failure(
+        lambda ctx, mp: ctx.pos_rank[30].__setitem__(10, ctx.pos_crank[30][10]),
+        "positive-moment-inequality", "inequality fails",
+        {"r": "10", "N": "30"},
+        "FAIL positive-moment-inequality: inequality fails | first "
+        "counterexample: {'r': 10, 'N': 30}",
+        id="positive-moment-inequality-last",
+    ),
+    _failure(
+        lambda ctx, mp: ctx.ospt.__setitem__(1, ctx.ospt[2] + 1),
+        "ospt-nondecreasing", "ospt decreases",
+        {"N": "1", "here": "2", "next": "1"},
+        "FAIL ospt-nondecreasing: ospt decreases | first counterexample: "
+        "{'N': 1, 'here': 2, 'next': 1}",
+        id="ospt-nondecreasing-first",
+    ),
+    _failure(
+        lambda ctx, mp: ctx.ospt.__setitem__(29, ctx.ospt[30] + 1),
+        "ospt-nondecreasing", "ospt decreases",
+        {"N": "29", "here": "1588", "next": "1587"},
+        "FAIL ospt-nondecreasing: ospt decreases | first counterexample: "
+        "{'N': 29, 'here': 1588, 'next': 1587}",
+        id="ospt-nondecreasing-last",
+    ),
+]
+
+
+@pytest.mark.parametrize("corrupt, expected, line",
+                         FAILURE_REPORTS + RANGE_REPORTS)
 def test_failure_report(corrupt, expected, line, monkeypatch, capsys):
     ctx = vr.build_context(30, 10)
     corrupt(ctx, monkeypatch)
