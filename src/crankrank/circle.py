@@ -329,11 +329,19 @@ def _refine_gl(fn, lo: float, hi: float, start_panels: int, tol_abs: float):
     )
 
 
-def check_quadrature_order(N: int) -> None:
+def check_quadrature_order(N: int, r: int) -> None:
     """Refuse N outside [20, 400], where the integrand magnitude
-    e^{2 pi sqrt(N/6)}-ish stays comfortably inside double precision."""
+    e^{2 pi sqrt(N/6)}-ish stays comfortably inside double precision.
+
+    Also refuse an order r for which (1 - |q|)^r underflows to 0 on the
+    circle |q| = e^{-pi/sqrt(6N)}: the tail test of
+    ``series.appell_sum_value`` divides by it.
+    """
     if not 20 <= N <= 400:
         raise ValueError("N must be in [20, 400] for double-precision quadrature")
+    if (1.0 - math.exp(-math.pi / math.sqrt(6.0 * N))) ** r == 0.0:
+        raise ValueError(f"r = {r} is too large for double-precision "
+                         f"quadrature at N = {N}")
 
 
 def _circle_q(N: int, xs: np.ndarray) -> np.ndarray:
@@ -369,13 +377,17 @@ def wright_integrals(ell: int, r: int, N: int, exact: int) -> QuadratureReport:
     half of 1e-8 of it.  The report also carries |error arc| / |main arc|,
     which decays in N.
 
-    N is restricted by ``check_quadrature_order``.
+    N and r are restricted by ``check_quadrature_order``; an ``exact``
+    of 0 is refused, since it leaves no relative target.
     """
-    check_quadrature_order(N)
+    check_quadrature_order(N, r)
     if r < 1:
         raise ValueError("r must be >= 1")
     if ell not in (1, 3):
         raise ValueError(f"ell must be 1 or 3, got {ell}")
+    if exact == 0:
+        raise ValueError(f"the coefficient of q^{N} is 0 for ell = {ell}, "
+                         f"r = {r}: no relative target for the quadrature")
     x_split = 1.0 / (2.0 * math.sqrt(6.0 * N))
     amplitude = math.exp(math.pi * math.sqrt(N / 6.0))
 

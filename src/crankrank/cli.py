@@ -296,7 +296,7 @@ def _cmd_circle(args) -> int:
         ])
         return 0
     for N in ladder:  # before any exact coefficient is built up to max(ladder)
-        circle.check_quadrature_order(N)
+        circle.check_quadrature_order(N, r_list[-1])
     reports = []
     for ell in ells:
         sym = moments.symmetrized_family(ell, r_list, ladder[-1])

@@ -3,23 +3,15 @@
 Both sequences share their parity, and that parity is governed by a
 quadratic condition on the prime factorization of 24N - 1: the value is
 odd exactly when 24N - 1 = p^{4a+1} m^2 with p prime, p = 23 (mod 24),
-and p not dividing m.  The factorization machinery here (deterministic
-Miller-Rabin plus Brent's cycle-finding splitter) is certified for the
-full unsigned 63-bit range even though the shipped checks only ever
-factor numbers below 48000.
+and p not dividing m.  ``factorize`` finds that factorization by trial
+division alone, for 1 <= n < 10^12.  No command comes near that bound:
+the sequences behind the parity table stop at N of about 1.7 * 10^6,
+so 24N - 1 stays below 4.1 * 10^7.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
 from typing import NamedTuple
-
-_SMALL_TRIAL_LIMIT = 10**6
-
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10^24, which
-# comfortably covers the supported 63-bit range; is_prime also tries these
-# primes as divisors first.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class _FactorizationFields(NamedTuple):
@@ -47,101 +39,33 @@ class Factorization(_FactorizationFields):
         return super().__new__(cls, n, factors)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 0 <= n < 2^63."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n (Brent's variant)."""
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        y, m = 2, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        c += 1  # rare cycle degeneracy: restart with a new polynomial
-
-
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization for 1 <= n < 2^63.
+    """Complete prime factorization for 1 <= n < 10^12, by trial division.
 
-    Strips small primes by trial division (up to 10^6), then splits any
-    remaining cofactor with Brent's rho, certifying every prime by the
-    deterministic Miller-Rabin test.
+    Divides out 2 and 3, then the candidates 6k - 1 and 6k + 1 while
+    their square is at most what remains.  What remains above 1 then has
+    no prime factor up to its square root, so it is prime.  Below 10^12
+    no candidate passes 10^6.
     """
-    if not 1 <= n < 2**63:
-        raise ValueError("n must satisfy 1 <= n < 2^63")
+    if not 1 <= n < 10**12:
+        raise ValueError("n must satisfy 1 <= n < 10^12")
     remaining = n
     factors = {}
-    # trial division: 2, 3, then a 6k +- 1 wheel
+    # 2, 3, then a 6k +- 1 wheel; primes are found in increasing order
     for p in (2, 3):
         while remaining % p == 0:
             factors[p] = factors.get(p, 0) + 1
             remaining //= p
     p = 5
-    while p <= _SMALL_TRIAL_LIMIT and p * p <= remaining:
+    while p * p <= remaining:
         for cand in (p, p + 2):
             while remaining % cand == 0:
                 factors[cand] = factors.get(cand, 0) + 1
                 remaining //= cand
         p += 6
-    stack = [remaining] if remaining > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        root = isqrt(m)
-        if root * root == m:
-            stack.extend((root, root))
-            continue
-        d = _brent_rho(m)
-        stack.extend((d, m // d))
-    return Factorization(n=n, factors=tuple(sorted(factors.items())))
+    if remaining > 1:
+        factors[remaining] = 1
+    return Factorization(n=n, factors=tuple(factors.items()))
 
 
 def parity_predict(N: int) -> bool:

@@ -685,7 +685,9 @@ def appell_sum_value(ell: int, r: int, q, tol: float = 1e-12,
 
     The term bound |q|^{E(n)} / (1-|q|)^r decays like a Gaussian in n;
     summation stops when the geometric majorant of the tail, taken at
-    max|q|, drops below tol times the partial sum.
+    max|q|, drops below tol times the partial sum.  That majorant divides
+    by (1-|q|)^r, so an r for which it underflows to 0 raises
+    OverflowError.
     """
     if ell not in (1, 3):
         raise ValueError(f"ell must be 1 or 3, got {ell}")
@@ -695,6 +697,9 @@ def appell_sum_value(ell: int, r: int, q, tol: float = 1e-12,
     if aq == 0:
         return SeriesValue(0.0 + 0.0j, 0.0, 0)
     one_minus = 1.0 - aq
+    if one_minus ** r == 0.0:
+        raise OverflowError(f"(1 - |q|)^-{r} is past double range at "
+                            f"|q| = {aq}")
 
     def terms():
         qn = qe = 1.0 + 0.0j

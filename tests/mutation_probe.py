@@ -100,6 +100,61 @@ MUTANTS = [
         "ospt-nondecreasing stops before comparing ospt(nmax - 1) with "
         "ospt(nmax)",
     ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(1, ctx.nmax + 1)\n             if ctx.ospt[N] % 2",
+        "for N in range(2, ctx.nmax + 1)\n             if ctx.ospt[N] % 2",
+        "parity-predictor checks from N = 2, not N = 1",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(1, ctx.nmax + 1)\n             if ctx.ospt[N] % 2",
+        "for N in range(1, ctx.nmax)\n             if ctx.ospt[N] % 2",
+        "parity-predictor stops before the N = nmax stated",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(1, ctx.nmax + 1)\n             for kind, _, pos, _",
+        "for N in range(2, ctx.nmax + 1)\n             for kind, _, pos, _",
+        "moment-parity checks from N = 2, not N = 1",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(1, ctx.nmax + 1)\n             for kind, _, pos, _",
+        "for N in range(1, ctx.nmax)\n             for kind, _, pos, _",
+        "moment-parity stops before the N = nmax stated",
+    ),
+    Mutant(
+        "src/crankrank/parity.py",
+        "while p * p <= remaining:",
+        "while p * p < remaining:",
+        "factorize: a remaining p^2 taken for a prime",
+    ),
+    Mutant(
+        "src/crankrank/parity.py",
+        "for cand in (p, p + 2):",
+        "for cand in (p,):",
+        "factorize: the 6k + 1 candidates never tried",
+    ),
+    Mutant(
+        "src/crankrank/parity.py",
+        "    if remaining > 1:\n        factors[remaining] = 1\n",
+        "",
+        "factorize: the prime left over after trial division dropped",
+    ),
+    Mutant(
+        "src/crankrank/cli.py",
+        "circle.check_quadrature_order(N, r_list[-1])",
+        "circle.check_quadrature_order(N, r_list[0])",
+        "circle: only the smallest order checked before the exact "
+        "coefficients are built",
+    ),
+    Mutant(
+        "src/crankrank/circle.py",
+        "    if exact == 0:\n",
+        "    if False:\n",
+        "wright_integrals: an exact coefficient of 0 sent to quadrature",
+    ),
 ]
 
 

@@ -234,6 +234,17 @@ class TestWrightIntegrals:
         with pytest.raises(ValueError):
             quadrature(1, 3, 500)
 
+    def test_refused_before_quadrature(self, monkeypatch):
+        monkeypatch.setattr(cm, "_refine_gl",
+                            lambda *args: pytest.fail("quadrature ran"))
+        # (1 - e^{-pi/sqrt(2400)})^300 underflows to 0
+        with pytest.raises(ValueError, match="too large"):
+            cm.wright_integrals(1, 300, 400, exact=1)
+        # the first Appell exponent, (1 + 51)/2 = 26, passes N = 20
+        assert mm.symmetrized_series(1, 50, 20)[20] == 0
+        with pytest.raises(ValueError, match="is 0"):
+            cm.wright_integrals(1, 50, 20, exact=0)
+
     def test_exact_override(self):
         true = mm.symmetrized_series(1, 3, 60)[60]
         rep = cm.wright_integrals(1, 3, 60, exact=true)

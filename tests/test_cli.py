@@ -224,6 +224,29 @@ class TestCircleCommand:
         assert "N must be in [20, 400]" in err
         assert built == []
 
+    def test_order_past_double_range(self, capsys, monkeypatch):
+        # (1 - |q|)^300 underflows on the circle of N = 400: refused
+        # before any exact coefficient is built or any quadrature runs
+        built = []
+        monkeypatch.setattr(moments, "symmetrized_family",
+                            lambda *args: built.append(args))
+        code, out, err = run_cli(capsys, "circle", "--r", "3,300",
+                                 "--ell", "1", "--ladder", "400")
+        assert (code, out, built) == (1, "", [])
+        assert err == ("usage error: r = 300 is too large for "
+                       "double-precision quadrature at N = 400\n")
+
+    def test_zero_coefficient(self, capsys, monkeypatch):
+        # the coefficient of q^20 is 0 at r = 50: no relative target
+        monkeypatch.setattr(circle, "_refine_gl",
+                            lambda *args: pytest.fail("quadrature ran"))
+        code, out, err = run_cli(capsys, "circle", "--r", "50", "--ell", "1",
+                                 "--ladder", "20")
+        assert (code, out) == (1, "")
+        assert err == ("usage error: the coefficient of q^20 is 0 for "
+                       "ell = 1, r = 50: no relative target for the "
+                       "quadrature\n")
+
     def test_convergence_failure_shows_bound(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise ConvergenceError("quadrature stub", achieved_bound=2.5e-7)
@@ -307,6 +330,9 @@ class TestUsage:
          "--ladder", "10000000"],
         ["circle", "--format", "csv", "--r", "400", "--ell", "1",
          "--ladder", "50"],
+        # (1 - |q|)^3000 underflows at N = 1, where the envelope does not
+        ["circle", "--format", "csv", "--r", "3000", "--ell", "1",
+         "--ladder", "1"],
     ], ids=" ".join)
     def test_out_of_float_range(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import isprime
 
 from crankrank import cli
 from crankrank import moments as mm
@@ -9,18 +10,23 @@ from crankrank import parity as pa
 
 
 class TestPrimality:
+    """Primality as ``factorize`` reports it: n is prime exactly when its
+    factorization is the single factor n."""
+
     def test_small_values(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-        for n in range(50):
-            assert pa.is_prime(n) == (n in primes)
+        for n in range(1, 50):
+            assert (pa.factorize(n).factors == ((n, 1),)) == (n in primes), n
 
     def test_mersenne(self):
-        assert pa.is_prime(2**61 - 1)
-        assert not pa.is_prime(2**62 - 1)
+        # 2^31 - 1 is prime; 2^37 - 1 = 223 * 616318177
+        assert pa.factorize(2**31 - 1).factors == ((2**31 - 1, 1),)
+        assert pa.factorize(2**37 - 1).factors == ((223, 1), (616318177, 1))
 
     def test_carmichael(self):
-        assert not pa.is_prime(561)
-        assert not pa.is_prime(41041)
+        assert pa.factorize(561).factors == ((3, 1), (11, 1), (17, 1))
+        assert pa.factorize(41041).factors == (
+            (7, 1), (11, 1), (13, 1), (41, 1))
 
 
 class TestFactorize:
@@ -45,18 +51,18 @@ class TestFactorize:
         assert pa.factorize(2**20 * 3**3).factors == ((2, 20), (3, 3))
 
     def test_large_semiprime_hits_rho(self):
-        p, q = 10**9 + 7, 10**9 + 9
+        # the two largest primes below 10^6, at the top of the domain
+        p, q = 999979, 999983
         assert pa.factorize(p * q).factors == ((p, 1), (q, 1))
 
     def test_large_square(self):
-        p = 10**9 + 7
+        p = 999983
         assert pa.factorize(p * p).factors == ((p, 2),)
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
-            pa.factorize(0)
-        with pytest.raises(ValueError):
-            pa.factorize(2**63)
+        for n in (0, 10**12, 2**61 - 1):
+            with pytest.raises(ValueError):
+                pa.factorize(n)
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -64,13 +70,13 @@ class TestFactorize:
         with pytest.raises(ValueError):
             pa.Factorization(6, ((2, 1), (5, 1)))
 
-    @given(st.integers(1, 10**12))
+    @given(st.integers(1, 10**12 - 1))
     @settings(max_examples=120, deadline=None)
     def test_factorization_recombines(self, n):
         fac = pa.factorize(n)
         prod = 1
         for p, e in fac.factors:
-            assert pa.is_prime(p)
+            assert isprime(p)
             prod *= p**e
         assert prod == n
 

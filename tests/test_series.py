@@ -315,6 +315,11 @@ class TestComplexEvaluation:
         with pytest.raises(ValueError):
             qs.appell_sum_value(1, 1, 2j)
 
+    def test_order_past_double_range(self):
+        # (1 - 0.28)^3000 underflows to 0, and the tail test divides by it
+        with pytest.raises(OverflowError):
+            qs.appell_sum_value(1, 3000, 0.28)
+
     def test_unreachable_tolerance(self):
         with pytest.raises(ConvergenceError) as err:
             qs.appell_sum_value(1, 1, 0.9, tol=1e-30, max_terms=3)

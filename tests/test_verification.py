@@ -324,6 +324,38 @@ RANGE_REPORTS = [
         "{'N': 29, 'here': 1588, 'next': 1587}",
         id="ospt-nondecreasing-last",
     ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.ospt, 1),
+        "parity-predictor", "parity mismatch",
+        {"N": "1", "predicted": "1", "ospt": "0", "spt": "1"},
+        "FAIL parity-predictor: parity mismatch | first counterexample: "
+        "{'N': 1, 'predicted': 1, 'ospt': 0, 'spt': 1}",
+        id="parity-predictor-first",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.spt, 30),
+        "parity-predictor", "parity mismatch",
+        {"N": "30", "predicted": "1", "ospt": "1", "spt": "0"},
+        "FAIL parity-predictor: parity mismatch | first counterexample: "
+        "{'N': 30, 'predicted': 1, 'ospt': 1, 'spt': 0}",
+        id="parity-predictor-last",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.pos_crank[1], 2),
+        "moment-parity", "parity link broken",
+        {"kind": "crank", "N": "1"},
+        "FAIL moment-parity: parity link broken | first counterexample: "
+        "{'kind': 'crank', 'N': 1}",
+        id="moment-parity-first",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.pos_rank[30], 1),
+        "moment-parity", "parity link broken",
+        {"kind": "rank", "N": "30"},
+        "FAIL moment-parity: parity link broken | first counterexample: "
+        "{'kind': 'rank', 'N': 30}",
+        id="moment-parity-last",
+    ),
 ]
 
 
