@@ -13,7 +13,6 @@ import importlib
 #: submodule is imported on first access (PEP 562), so ``import crankrank``
 #: and each CLI command load only the submodules they use.
 _EXPORTS = {
-    "BivariateSeries": "series",
     "CrankRankTable": "moments",
     "ExactSeries": "series",
     "appell_sum": "series",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -333,13 +334,24 @@ def check_quadrature_order(N: int, r: int) -> None:
     """Refuse N outside [20, 400], where the integrand magnitude
     e^{2 pi sqrt(N/6)}-ish stays comfortably inside double precision.
 
-    Also refuse an order r for which (1 - |q|)^r underflows to 0 on the
-    circle |q| = e^{-pi/sqrt(6N)}: the tail test of
-    ``series.appell_sum_value`` divides by it.
+    Also refuse an order r for which the ``wright_integrals`` integrand
+    could leave double range on the circle |q| = e^{-t}, t = pi/sqrt(6N).
+    Each Appell term divides by (1 - q^n)^r, and |1 - q^n| >= 1 - |q|, so
+    1/(1 - |q|)^r must be finite.  The integrand is ``amplitude``
+    e^{pi sqrt(N/6)} times the Euler factor, at most 1/(|q|;|q|)_inf =
+    exp(sum_k 1/(k (e^{kt} - 1))) <= e^{pi^2/(6t)} = e^{pi sqrt(N/6)},
+    times the Appell sum, at most sum_n |q|^{E(n)} / (1 - |q|)^r <=
+    |q|^{E(1)} / (1 - |q|)^{r+1} with the exponent E of ell = 1 (that of
+    ell = 3 is larger, and E(n+1) - E(n) >= 1).  A panel's 16 weights sum
+    to 2, so twice that bounds each panel sum, which must be finite too.
     """
     if not 20 <= N <= 400:
         raise ValueError("N must be in [20, 400] for double-precision quadrature")
-    if (1.0 - math.exp(-math.pi / math.sqrt(6.0 * N))) ** r == 0.0:
+    t = math.pi / math.sqrt(6.0 * N)
+    log_recip = -math.log1p(-math.exp(-t))  # log(1/(1 - |q|))
+    log_panel = (math.log(2.0) + 2.0 * math.pi * math.sqrt(N / 6.0)
+                 - (r + 2 - r % 2) // 2 * t + (r + 1) * log_recip)
+    if max(r * log_recip, log_panel) >= math.log(sys.float_info.max):
         raise ValueError(f"r = {r} is too large for double-precision "
                          f"quadrature at N = {N}")
 

@@ -173,7 +173,7 @@ def _cmd_tables(args) -> int:
                          moments.combinatorial_row(N, row)
                          if combinatorial and table.kind == "crank" else row)
          if c]
-        for table in tables for N, row in enumerate(table.dense_rows())
+        for table in tables for N, row in enumerate(table.dense_rows(args.nmax))
     ))
     return 0
 

@@ -7,10 +7,10 @@ Two independent routes to the same numbers live here:
   function and nothing else (``CrankRankTable``), with moments read off
   it as weighted sums over m.  Every sum of one bulk accessor, for every
   N and every order at once, comes from one packed division of its
-  weighted numerators by (q;q)_inf
-  (``series.BivariateSeries.weighted_sums``), with neither p nor a
-  product.  The weights are the table's own (m^r, m^{2k},
-  C(m + floor((r-1)/2), r)), never the series route's basis change;
+  weighted numerators by (q;q)_inf (``CrankRankTable.weighted_sums``),
+  with neither p nor a product.  The weights are the table's own (m^r,
+  m^{2k}, C(m + floor((r-1)/2), r)), never the series route's basis
+  change;
 * the *series route*: read symmetrized positive moments directly as the
   integer coefficients of A_{ell,r}(q) / (q;q)_inf, A being
   ``series.appell_sum`` (ell=1 for crank, ell=3 for rank), and recover
@@ -21,14 +21,16 @@ Two independent routes to the same numbers live here:
   into spt and ospt.  ``symmetrized_series``, ``positive_moment_series``
   and ``spt_ospt`` are single-family calls into them.
 
-The two routes meeting exactly, for every N and r, is one of the main
-verification targets of the package.  Both divide by (q;q)_inf through
-``series.euler_quotients``, each with numerators of its own: the table
-route its weighted numerator columns, the series route its Appell sums.
-The identity suite checks that division apart from both routes, through
-products with the independently written ``euler_function``
-(``ExactSeries.__mul__``): p times it must give 1, and each symmetrized
-family times it must give back its Appell sums.
+Every family of moments, of either route, has one layout: {r: values},
+values[N] for N = 0..nmax.  The two routes meeting exactly, for every N
+and r, is one of the main verification targets of the package.  Both
+divide by (q;q)_inf through ``series.euler_quotients``, each with
+numerators of its own: the table route its weighted numerator columns,
+the series route its Appell sums.  The identity suite checks that
+division apart from both routes, through products with the
+independently written ``euler_function`` (``ExactSeries.__mul__``): p
+times it must give 1, and each symmetrized family times it must give
+back its Appell sums.
 
 Conventions: every table holds the raw generating-function histogram,
 including the anomalous crank column at N=1, which is the normalization
@@ -64,36 +66,110 @@ def _binomial(r: int):
     return lambda m: comb(m + off, r) if m >= 1 else 0
 
 
-class CrankRankTable(qs.BivariateSeries):
+class CrankRankTable:
     """Exact histogram counts M(m, N) of crank or rank over partitions of N.
 
-    The table is kept factorized (see ``series.BivariateSeries``): the
-    sparse numerator columns of the generating function, to order nmax.
-    Each bulk accessor makes one ``weighted_sums`` call, which forms the
-    sums over m for all of its weights in one packed division by
-    (q;q)_inf, so no moment unpacks the histogram or builds p; the
-    single-N accessors index that output.  Dense rows, of length 2N+1
-    with index m+N, are built only for row lookups (``rows``,
-    ``distribution``) and for export by the ``tables`` command.
-    Columns m and -m hold separately computed monomials, so row symmetry
-    is a genuine check rather than a storage artifact.
+    The table is kept factorized, as the generating function
+    Num(w, q) / (q;q)_inf to order nmax: ``columns[m]`` is the coefficient
+    of w^m in the sparse numerator Num (``series.bivariate_series``), a
+    map q-exponent -> nonzero integer in increasing q-exponent order, so
+    M(m, N) = sum_{q0 <= N} columns[m][q0] p(N - q0).  Each bulk accessor
+    makes one ``weighted_sums`` call, which forms the sums over m for all
+    of its weights in one packed division by (q;q)_inf, so no moment
+    unpacks the histogram or builds p; the single-N accessors index that
+    output.  Dense rows, of length 2N+1 with index m+N, are unpacked only
+    for row lookups (``dense_rows``, ``rows``) and for export by the
+    ``tables`` command.  Columns m and -m hold separately computed
+    monomials, so row symmetry is a genuine check rather than a storage
+    artifact.
     """
 
     def __init__(self, kind: str, columns: dict, nmax: int):
         if kind not in ("crank", "rank"):
             raise ValueError(f"kind must be 'crank' or 'rank', got {kind!r}")
-        super().__init__(columns, nmax)
         self.kind = kind
+        self.columns = columns
+        self.nmax = nmax
 
     @classmethod
     def build(cls, kind: str, nmax: int) -> "CrankRankTable":
         """Extract the table from the bivariate generating function."""
-        return cls(kind, qs.bivariate_series(kind, nmax).columns, nmax)
+        return cls(kind, qs.bivariate_series(kind, nmax), nmax)
+
+    def _check_row(self, n: int) -> None:
+        if not 0 <= n <= self.nmax:
+            raise ValueError(f"N={n} outside table range 0..{self.nmax}")
+
+    def weighted_sums(self, weights) -> list:
+        """[sum_m w(m) M(m, N) over N = 0..nmax for w in weights], each a
+        list of nmax+1 integers, in one pass for every weight at once.
+
+        The weights enter linearly: weight w_j has the numerator
+        t_j = sum_m w_j(m) columns[m], formed monomial by monomial over
+        the columns where w_j is nonzero, and ``series.euler_quotients``
+        divides every t_j by (q;q)_inf in one pass, giving T_j(N) =
+        sum_{m, q0 <= N} w_j(m) columns[m][q0] p(N - q0), the wanted sum.
+        """
+        numerators = []
+        for weight in weights:
+            t = [0] * (self.nmax + 1)
+            for m, col in self.columns.items():
+                w = weight(m)
+                if w:
+                    for q0, c in col.items():
+                        t[q0] += w * c
+            numerators.append(t)
+        return qs.euler_quotients(numerators)
+
+    def dense_rows(self, n: int) -> list:
+        """Dense rows 0..n, row N a list of 2N+1 integers with index m+N,
+        for 0 <= n <= nmax (ValueError otherwise), monomial by monomial:
+        each numerator monomial c w^m q^q0 adds c p(j) to entry
+        (q0 + j, m) for every j with |m| <= q0 + j <= n.
+
+        Refused with ResourceLimitError above ``series.TABLE_BYTES_LIMIT``
+        (see ``series.check_dense_table``) before anything is allocated.
+        """
+        self._check_row(n)
+        qs.check_dense_table(n)
+        p = qs.partition_series(n).coeffs
+        scaled = {}  # c -> c * p, one list per distinct numerator coefficient
+        rows = [[0] * (2 * N + 1) for N in range(n + 1)]
+        for m, col in self.columns.items():
+            for q0, c in col.items():
+                if q0 > n:
+                    break
+                cp = scaled.get(c) or scaled.setdefault(c, [c * x for x in p])
+                for j in range(max(0, abs(m) - q0), n + 1 - q0):
+                    N = q0 + j
+                    rows[N][m + N] += cp[j]
+        return rows
 
     @functools.cached_property
     def rows(self) -> list:
         """Every dense row, unpacked on first access and then kept."""
-        return self.dense_rows()
+        return self.dense_rows(self.nmax)
+
+    def collapse_marker(self) -> qs.ExactSeries:
+        """Set w = 1, i.e. sum each Laurent row."""
+        return qs.ExactSeries(self.weighted_sums([lambda m: 1])[0])
+
+    def first_asymmetric_row(self) -> int | None:
+        """Smallest n whose row is not invariant under m -> -m, or None.
+
+        Row n is symmetric for every n exactly when each numerator column m
+        equals column -m, because p has constant term 1 and so is
+        invertible; and the first row where M(m, .) and M(-m, .) differ is
+        the lowest q-exponent where columns m and -m differ.
+        """
+        first = None
+        for m, col in self.columns.items():
+            other = self.columns.get(-m, {})
+            if col != other:
+                diff = min(q0 for q0 in col.keys() | other.keys()
+                           if col.get(q0) != other.get(q0))
+                first = diff if first is None else min(first, diff)
+        return first
 
     def full_moments(self, orders) -> dict:
         """{r: sum over all m of m^r counts[N][m] for every N} for each r in
@@ -125,24 +201,20 @@ class CrankRankTable(qs.BivariateSeries):
         self._check_row(N)
         return self.symmetrized_moments([r])[r][N]
 
-    def positive_moments_upto(self, r_max: int):
-        """All positive moments r=0..r_max for every N, in one pass.
+    def positive_moments_upto(self, r_max: int) -> dict:
+        """{r: sum_{m>=1} m^r counts[N][m] for every N} for r = 0..r_max,
+        in one pass."""
+        orders = range(r_max + 1)
+        return dict(zip(orders,
+                        self.weighted_sums(map(_positive_power, orders))))
 
-        Returns a list indexed by N of lists indexed by r.
-        """
-        sums = self.weighted_sums(map(_positive_power, range(r_max + 1)))
-        return [list(at_N) for at_N in zip(*sums)]
-
-    def full_even_moments_upto(self, k_max: int):
-        """Full moments of orders 2, 4, ..., 2*k_max for every N, in one pass.
+    def full_even_moments_upto(self, k_max: int) -> dict:
+        """``full_moments`` of the orders 2, 4, ..., 2*k_max.
 
         Weighs m^{2k} on every column m <= -1 and m >= 1 by itself, so this
         does not assume the symmetry it is typically used to cross-check.
-        Returns a list indexed by N of lists indexed by k (entry 0 unused).
         """
-        full = self.full_moments(range(2, 2 * k_max + 1, 2))
-        sums = [[0] * (self.nmax + 1), *full.values()]
-        return [list(at_N) for at_N in zip(*sums)]
+        return self.full_moments(range(2, 2 * k_max + 1, 2))
 
 
 def combinatorial_row(N: int, row: list) -> list:

@@ -7,12 +7,10 @@ This module builds the q-expansions everything else consumes:
   division by (q;q)_inf (``euler_quotients``) applied to 1.
 * ``euler_function`` -- the sparse pentagonal expansion of (q;q)_inf.
 * ``bivariate_series`` -- the two-variable crank and rank generating
-  functions, kept factorized (``BivariateSeries``): the sparse numerator
-  (q;q)_inf * F(w, q), one column per power of the statistic marker w,
-  and nothing else.  Sums over the powers of w, for any number of
-  weights, are one packed division of their weighted numerators by
-  (q;q)_inf; dense Laurent rows are unpacked, with the p they need, only
-  on request.
+  functions, kept factorized: the columns of the sparse numerator
+  (q;q)_inf * F(w, q), one per power of the statistic marker w, and
+  nothing else.  ``moments.CrankRankTable`` holds them and reads sums
+  and rows off them.
 * ``appell_sum`` -- the one-sided Appell-type sums
   sum_{n>=1} (-1)^{n+1} q^{l*n^2/2 + (r/2+rho)n} / (1-q^n)^r,
   whose quotients by (q;q)_inf generate symmetrized positive moments.
@@ -28,7 +26,7 @@ as it is, two or more packed side by side by halves, one integer per
 power of q with one slot per series.  It sizes each slot for its own
 series, bounding p(nmax) by ``partition_bits`` so that p is never
 built.  Its callers are ``partition_series`` (the series 1),
-``ospt_series`` (the ospt numerator), ``BivariateSeries.weighted_sums``
+``ospt_series`` (the ospt numerator), ``moments.CrankRankTable.weighted_sums``
 (one weighted numerator per weight) and ``moments.symmetrized_family``
 (the Appell sums of every order of a family).  A product
 (``ExactSeries.__mul__``) is the direct truncated Cauchy product, one
@@ -105,110 +103,6 @@ class ExactSeries:
             if y:
                 out[j:] = [c + x * y for c, x in zip(out[j:], self.coeffs)]
         return ExactSeries(out)
-
-
-class BivariateSeries:
-    """A two-variable generating function kept factorized: Num(w, q) / (q;q)_inf.
-
-    ``columns[m]`` is the coefficient of w^m in the sparse numerator Num,
-    a map q-exponent -> nonzero integer in increasing q-exponent order,
-    truncated at q^nmax.  The coefficient of w^m q^n of the function
-    itself is therefore sum_{q0 <= n} columns[m][q0] p(n - q0), with p
-    the partition counts.  Sums over m weighted by any number of weights
-    w(m) are one packed division by (q;q)_inf (``weighted_sums``), which
-    needs no p; dense Laurent rows are unpacked only on request
-    (``dense_row``, ``distribution``, ``dense_rows``), each building the p
-    it reads.
-    """
-
-    __slots__ = ("columns", "nmax")
-
-    def __init__(self, columns: dict, nmax: int):
-        self.columns = columns
-        self.nmax = nmax
-
-    def weighted_sums(self, weights) -> list:
-        """[sum_m w(m) (coefficient series of w^m) for w in weights], each a
-        list of nmax+1 integers, in one pass for every weight at once.
-
-        The weights enter linearly: weight w_j has the numerator
-        t_j = sum_m w_j(m) columns[m], formed monomial by monomial over
-        the columns where w_j is nonzero, and ``euler_quotients`` divides
-        every t_j by (q;q)_inf in one pass, giving T_j(N) =
-        sum_{m, q0 <= N} w_j(m) columns[m][q0] p(N - q0), the wanted sum.
-        """
-        numerators = []
-        for weight in weights:
-            t = [0] * (self.nmax + 1)
-            for m, col in self.columns.items():
-                w = weight(m)
-                if w:
-                    for q0, c in col.items():
-                        t[q0] += w * c
-            numerators.append(t)
-        return euler_quotients(numerators)
-
-    def _check_row(self, n: int) -> None:
-        if not 0 <= n <= self.nmax:
-            raise ValueError(f"N={n} outside table range 0..{self.nmax}")
-
-    def dense_row(self, n: int) -> list:
-        """The q^n coefficient as a dense list of 2n+1 integers, index m+n,
-        for 0 <= n <= nmax (ValueError otherwise)."""
-        self._check_row(n)
-        p = partition_series(n).coeffs
-        row = [0] * (2 * n + 1)
-        for m in range(-n, n + 1):
-            for q0, c in self.columns.get(m, {}).items():
-                if q0 > n:
-                    break
-                row[m + n] += c * p[n - q0]
-        return row
-
-    def distribution(self, n: int) -> dict:
-        """Nonzero entries of the q^n coefficient as a map m -> value."""
-        return {m - n: c for m, c in enumerate(self.dense_row(n)) if c}
-
-    def dense_rows(self) -> list:
-        """Every dense row 0..nmax, monomial by monomial: each numerator
-        monomial c w^m q^q0 adds c p(j) to entry (q0 + j, m) for every j.
-
-        Refused with ResourceLimitError above ``TABLE_BYTES_LIMIT`` (see
-        ``check_dense_table``) before anything is allocated.
-        """
-        nmax = self.nmax
-        check_dense_table(nmax)
-        p = partition_series(nmax).coeffs
-        scaled = {}  # c -> c * p, one list per distinct numerator coefficient
-        rows = [[0] * (2 * N + 1) for N in range(nmax + 1)]
-        for m, col in self.columns.items():
-            for q0, c in col.items():
-                cp = scaled.get(c) or scaled.setdefault(c, [c * x for x in p])
-                for j in range(nmax + 1 - q0):
-                    N = q0 + j
-                    rows[N][m + N] += cp[j]
-        return rows
-
-    def collapse_marker(self) -> ExactSeries:
-        """Set w = 1, i.e. sum each Laurent row."""
-        return ExactSeries(self.weighted_sums([lambda m: 1])[0])
-
-    def first_asymmetric_row(self) -> int | None:
-        """Smallest n whose row is not invariant under m -> -m, or None.
-
-        Row n is symmetric for every n exactly when each numerator column m
-        equals column -m, because p has constant term 1 and so is
-        invertible; and the first row where C_m and C_{-m} differ is the
-        lowest q-exponent where columns m and -m differ.
-        """
-        first = None
-        for m, col in self.columns.items():
-            other = self.columns.get(-m, {})
-            if col != other:
-                diff = min(q0 for q0 in col.keys() | other.keys()
-                           if col.get(q0) != other.get(q0))
-                first = diff if first is None else min(first, diff)
-        return first
 
 
 def _log_partition_bound(nmax: int) -> float:
@@ -466,8 +360,7 @@ def numerator_columns(entries) -> dict:
     """Group (q-exponent, w-exponent, coefficient) monomials into columns.
 
     Returns {m: {q0: c}} with equal monomials merged, zero coefficients
-    dropped, columns in increasing m and each column in increasing q0: the
-    ``columns`` layout of ``BivariateSeries``.
+    dropped, columns in increasing m and each column in increasing q0.
     """
     columns = {}
     for q0, m, c in entries:
@@ -481,17 +374,20 @@ def numerator_columns(entries) -> dict:
     return out
 
 
-def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
-    """Two-variable crank or rank generating function through q^nmax.
+def bivariate_series(kind: str, nmax: int) -> dict:
+    """Two-variable crank or rank generating function through q^nmax, as
+    the numerator columns {m: {q0: c}} of ``numerator_columns``.
 
-    The coefficient of w^m q^N counts partitions of N with crank (or rank)
-    equal to m, in the raw generating-function normalization.  For the
-    crank that means the q^1 row reads w^-1 - 1 + w rather than the single
-    partition (1) of crank 0; table export patches that row (see the
-    conventions of ``moments``).  It is stored factorized, as the
-    sparse numerator of ``numerator_entries`` alone (see
-    ``BivariateSeries``): O(nmax log nmax) monomials, whose size is
-    estimated against ``TABLE_BYTES_LIMIT`` before any is built.
+    The function is Num(w, q) / (q;q)_inf, and column m holds the
+    coefficient of w^m in the sparse numerator Num of
+    ``numerator_entries``, so the coefficient of w^m q^N is
+    sum_{q0 <= N} c p(N - q0) over that column.  It counts partitions of
+    N with crank (or rank) equal to m, in the raw generating-function
+    normalization: for the crank the q^1 row reads w^-1 - 1 + w rather
+    than the single partition (1) of crank 0; table export patches that
+    row (see the conventions of ``moments``).  The columns hold
+    O(nmax log nmax) monomials, whose size is estimated against
+    ``TABLE_BYTES_LIMIT`` before any is built.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -500,8 +396,7 @@ def bivariate_series(kind: str, nmax: int) -> BivariateSeries:
     # at 3.4 MB and holds 3.0 MB (4.9 MB peak)
     _refuse_over_limit(f"a factorized {kind} table to nmax={nmax}",
                        _numerator_size(kind, nmax) * 100)
-    return BivariateSeries(numerator_columns(numerator_entries(kind, nmax)),
-                           nmax)
+    return numerator_columns(numerator_entries(kind, nmax))
 
 
 def _appell_exponent(ell: int, r: int, n: int) -> int:

@@ -51,7 +51,9 @@ class SuiteContext(SimpleNamespace):
     - ``nmax``, ``brute_nmax``: the table order and the enumeration bound;
     - ``crank_table``, ``rank_table``: ``moments.CrankRankTable`` of each kind;
     - ``partition_counts``: p(N) for N = 0..nmax;
-    - ``pos_crank``, ``pos_rank``: ``pos_crank[N][r]``, r = 0..MOMENT_ORDER_MAX;
+    - ``pos_crank``, ``pos_rank``: ``pos_crank[N][r]``, r = 0..MOMENT_ORDER_MAX,
+      the one context field indexed by N first (``perfbench/child.py``
+      reads ``pos_crank[N][2]``);
     - ``sym_crank``, ``sym_rank``: r -> symmetrized coefficient list;
     - ``spt``, ``ospt``: the two sequences for N = 0..nmax;
     - ``brute``: ``partitions.brute_aggregates(brute_nmax)``, whose entry
@@ -59,6 +61,12 @@ class SuiteContext(SimpleNamespace):
       one enumeration of the partitions of brute_nmax, read by every
       brute-force comparison.
     """
+
+
+def _by_N(family: dict) -> list:
+    """The family {r: values over N}, r = 0, 1, ..., as a list over N of
+    lists over r: the layout of ``SuiteContext.pos_crank``."""
+    return [list(at_N) for at_N in zip(*family.values())]
 
 
 def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
@@ -84,8 +92,8 @@ def build_context(nmax: int, brute_nmax: int | None = None) -> SuiteContext:
         crank_table=crank_table,
         rank_table=rank_table,
         partition_counts=partition_counts,
-        pos_crank=crank_table.positive_moments_upto(MOMENT_ORDER_MAX),
-        pos_rank=rank_table.positive_moments_upto(MOMENT_ORDER_MAX),
+        pos_crank=_by_N(crank_table.positive_moments_upto(MOMENT_ORDER_MAX)),
+        pos_rank=_by_N(rank_table.positive_moments_upto(MOMENT_ORDER_MAX)),
         sym_crank=sym_crank,
         sym_rank=sym_rank,
         spt=spt,
@@ -115,33 +123,41 @@ def _moment_difference(ctx: SuiteContext, N: int, r: int) -> int:
     return ctx.pos_crank[N][r] - ctx.pos_rank[N][r]
 
 
+def _histogram(N: int, row: list) -> dict:
+    """The nonzero entries of dense row N as a map m -> count."""
+    return {m - N: c for m, c in enumerate(row) if c}
+
+
 def check_tables_vs_brute(ctx: SuiteContext) -> list:
-    """Histogram rows equal brute enumeration; crank N=1 handled explicitly."""
+    """Histogram rows equal brute enumeration; crank N=1 handled explicitly.
+
+    Each table unpacks its rows 0..brute_nmax once."""
+    rows = {kind: table.dense_rows(ctx.brute_nmax)
+            for kind, table, _, _ in _sides(ctx)}
     out = [
         _verdict(
             f"table-vs-brute-{kind}",
             f"rows {start}..{ctx.brute_nmax} match enumeration",
             "histogram mismatch",
-            ({"N": N, "table": table.distribution(N),
+            ({"N": N, "table": _histogram(N, rows[kind][N]),
               "brute": getattr(ctx.brute[N], kind)}
              for N in range(start, ctx.brute_nmax + 1)
-             if table.distribution(N) != getattr(ctx.brute[N], kind)),
+             if _histogram(N, rows[kind][N]) != getattr(ctx.brute[N], kind)),
         )
-        for kind, table, start in (("crank", ctx.crank_table, 2),
-                                   ("rank", ctx.rank_table, 0))
+        for kind, start in (("crank", 2), ("rank", 0))
     ]
     # the documented anomalous column, its combinatorial form as exported
-    exported = moments.combinatorial_row(1, ctx.crank_table.dense_row(1))
+    crank, rank = rows["crank"], rows["rank"]
     column = {
-        "generating_function": ctx.crank_table.distribution(1),
-        "combinatorial": {m - 1: c for m, c in enumerate(exported) if c},
+        "generating_function": _histogram(1, crank[1]),
+        "combinatorial": _histogram(1, moments.combinatorial_row(1, crank[1])),
         "raw": ctx.brute[1].crank,
     }
     anomaly_ok = (
         column == {"generating_function": {-1: 1, 0: -1, 1: 1},
                    "combinatorial": {0: 1}, "raw": {-1: 1}}
-        and ctx.rank_table.distribution(1) == {0: 1}
-        and ctx.crank_table.distribution(0) == {0: 1}
+        and _histogram(1, rank[1]) == {0: 1}
+        and _histogram(0, crank[0]) == {0: 1}
     )
     out.append(_verdict(
         "crank-anomalous-column",
@@ -156,7 +172,7 @@ def check_row_structure(ctx: SuiteContext) -> list:
     """Row sums give p(N); rows are symmetric under m -> -m.
 
     Both are read off the factorized tables: the weight-1 sum over m is one
-    packed division by (q;q)_inf (``BivariateSeries.weighted_sums``), and
+    packed division by (q;q)_inf (``CrankRankTable.weighted_sums``), and
     symmetry is numerator column m against column -m.
     """
     return [
@@ -208,7 +224,7 @@ def check_series_basics(ctx: SuiteContext) -> list:
             "marker-collapse", f"both kinds collapse to p(N) through q^{nm2}",
             "w=1 collapse != p(N)",
             ({"kind": kind} for kind in ("crank", "rank")
-             if qs.bivariate_series(kind, nm2).collapse_marker().coeffs
+             if moments.CrankRankTable.build(kind, nm2).collapse_marker().coeffs
              != qs.partition_series(nm2).coeffs),
         ),
         _verdict(
@@ -354,7 +370,8 @@ def check_even_moments(ctx: SuiteContext) -> list:
              for k in range(1, 6)
              for kind, full, pos in (("crank", full_crank, ctx.pos_crank),
                                      ("rank", full_rank, ctx.pos_rank))
-             for N in range(ctx.nmax + 1) if full[N][k] != 2 * pos[N][2 * k]),
+             for N in range(ctx.nmax + 1)
+             if full[2 * k][N] != 2 * pos[N][2 * k]),
         ),
         _verdict(
             "full-even-moment-inequality",
@@ -362,7 +379,7 @@ def check_even_moments(ctx: SuiteContext) -> list:
             "even crank moment not larger",
             ({"r": 2 * k, "N": N}
              for k in range(1, 6) for N in range(1, ctx.nmax + 1)
-             if not full_crank[N][k] > full_rank[N][k]),
+             if not full_crank[2 * k][N] > full_rank[2 * k][N]),
         ),
     ]
 

@@ -31,8 +31,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# test_mutation_probe.py checks MUTANTS against the unmutated tree, so the
+# copies leave it out
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
-                                 ".hypothesis", "out")
+                                 ".hypothesis", "out", "test_mutation_probe.py")
 
 
 class Mutant(NamedTuple):
@@ -154,6 +156,160 @@ MUTANTS = [
         "    if exact == 0:\n",
         "    if False:\n",
         "wright_integrals: an exact coefficient of 0 sent to quadrature",
+    ),
+    Mutant(
+        "src/crankrank/moments.py",
+        "for j in range(max(0, abs(m) - q0), n + 1 - q0):",
+        "for j in range(max(0, abs(m) - q0), n - q0):",
+        "dense_rows: row n left without its numerator monomials",
+    ),
+    Mutant(
+        "src/crankrank/moments.py",
+        "for j in range(max(0, abs(m) - q0), n + 1 - q0):",
+        "for j in range(n + 1 - q0):",
+        "dense_rows: a column m written into the rows N < |m|",
+    ),
+    Mutant(
+        "src/crankrank/moments.py",
+        "return self.dense_rows(self.nmax)",
+        "return self.dense_rows(self.nmax - 1)",
+        "rows: unpacked one row short of nmax",
+    ),
+    Mutant(
+        "src/crankrank/moments.py",
+        "return self.full_moments(range(2, 2 * k_max + 1, 2))",
+        "return self.full_moments(range(2, 2 * k_max, 2))",
+        "full_even_moments_upto: order 2 k_max left out",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "if full[2 * k][N] != 2 * pos[N][2 * k]",
+        "if full[N][2 * k] != 2 * pos[N][2 * k]",
+        "even-moment-halving: the {r: list over N} family read as [N][r]",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        'for kind, start in (("crank", 2), ("rank", 0))',
+        'for kind, start in (("crank", 3), ("rank", 0))',
+        "table-vs-brute-crank checks from N = 3, not N = 2",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        'for kind, start in (("crank", 2), ("rank", 0))',
+        'for kind, start in (("crank", 2), ("rank", 1))',
+        "table-vs-brute-rank checks from N = 1, not N = 0",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(start, ctx.brute_nmax + 1)",
+        "for N in range(start, ctx.brute_nmax)",
+        "table-vs-brute stops before N = brute_nmax",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N, s in enumerate(moments.positive_from_symmetrized(sym, r))",
+        "for N, s in enumerate(moments.positive_from_symmetrized(sym, r)[1:],"
+        " 1)",
+        "positive-moment-reconciliation checks from N = 1, not N = 0",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N, s in enumerate(moments.positive_from_symmetrized(sym, r))",
+        "for N, s in enumerate(moments.positive_from_symmetrized(sym, r)[:-1])",
+        "positive-moment-reconciliation stops before N = nmax",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for r in orders\n             for kind, _, pos, sym",
+        "for r in orders[:-1]\n             for kind, _, pos, sym",
+        "positive-moment-reconciliation stops before r = MOMENT_ORDER_MAX",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(ctx.nmax + 1)\n             if full[2 * k][N]",
+        "for N in range(1, ctx.nmax + 1)\n             if full[2 * k][N]",
+        "even-moment-halving checks from N = 1, not N = 0",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(ctx.nmax + 1)\n             if full[2 * k][N]",
+        "for N in range(ctx.nmax)\n             if full[2 * k][N]",
+        "even-moment-halving stops before N = nmax",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for k in range(1, 6) for N in range(1, ctx.nmax + 1)",
+        "for k in range(1, 6) for N in range(2, ctx.nmax + 1)",
+        "full-even-moment-inequality checks from N = 2, not N = 1",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for k in range(1, 6) for N in range(1, ctx.nmax + 1)",
+        "for k in range(1, 6) for N in range(1, ctx.nmax)",
+        "full-even-moment-inequality stops before N = nmax",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(ctx.nmax + 1)\n         if _moment_difference",
+        "for N in range(1, ctx.nmax + 1)\n         if _moment_difference",
+        "spt-ospt-series-scale checks from N = 1, not N = 0",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(ctx.nmax + 1)\n         if _moment_difference",
+        "for N in range(ctx.nmax)\n         if _moment_difference",
+        "spt-ospt-series-scale stops before N = nmax",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in Ns if ctx.brute[N].durfee_sum",
+        "for N in Ns[1:] if ctx.brute[N].durfee_sum",
+        "durfee-first-moment checks from N = 2, not N = 1",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in Ns if ctx.brute[N].durfee_sum",
+        "for N in Ns[:-1] if ctx.brute[N].durfee_sum",
+        "durfee-first-moment stops before N = brute_nmax",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(offset, ctx.nmax + 1, modulus)",
+        "for N in range(offset + modulus, ctx.nmax + 1, modulus)",
+        "ramanujan-congruences skips the first N of each progression",
+    ),
+    Mutant(
+        "src/crankrank/verification.py",
+        "for N in range(offset, ctx.nmax + 1, modulus)",
+        "for N in range(offset, ctx.nmax - 1, modulus)",
+        "ramanujan-congruences stops before N = nmax - 1",
+    ),
+    Mutant(
+        "src/crankrank/circle.py",
+        "if max(r * log_recip, log_panel) >= ",
+        "if r * log_recip >= ",
+        "circle: the order refused on 1/(1 - |q|)^r alone, not on the "
+        "integrand bound",
+    ),
+    Mutant(
+        "src/crankrank/circle.py",
+        "if max(r * log_recip, log_panel) >= ",
+        "if log_panel >= ",
+        "circle: the order refused on the integrand bound alone, with "
+        "1/(1 - |q|)^r past double range",
+    ),
+    Mutant(
+        "src/crankrank/series.py",
+        "return head / (1.0 - aq ** (ell * nb))",
+        "return head",
+        "appell_sum_value: tail without its geometric factor "
+        "1/(1 - |q|^(ell (n+1)))",
+    ),
+    Mutant(
+        "src/crankrank/series.py",
+        "ratio = (1.0 + 1.0 / nb) * aq ** (nb + 1)",
+        "ratio = aq ** (nb + 1)",
+        "ospt_numerator_value: tail ratio without its factor (1 + 1/(n+1))",
     ),
 ]
 

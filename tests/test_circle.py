@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -237,13 +238,39 @@ class TestWrightIntegrals:
     def test_refused_before_quadrature(self, monkeypatch):
         monkeypatch.setattr(cm, "_refine_gl",
                             lambda *args: pytest.fail("quadrature ran"))
-        # (1 - e^{-pi/sqrt(2400)})^300 underflows to 0
+        # 1/(1 - e^{-pi/sqrt(2400)})^300 is past double range
         with pytest.raises(ValueError, match="too large"):
             cm.wright_integrals(1, 300, 400, exact=1)
         # the first Appell exponent, (1 + 51)/2 = 26, passes N = 20
         assert mm.symmetrized_series(1, 50, 20)[20] == 0
         with pytest.raises(ValueError, match="is 0"):
             cm.wright_integrals(1, 50, 20, exact=0)
+
+    @pytest.mark.parametrize("N", [20, 50, 100, 200, 400])
+    def test_largest_accepted_order_stays_finite(self, N, monkeypatch):
+        # the first level of each arc, on the start panels, at the largest
+        # order the integrand bound accepts: finite, with no numpy warning
+        r = 1
+        while True:
+            try:
+                cm.check_quadrature_order(N, r + 1)
+            except ValueError:
+                break
+            r += 1
+
+        def first_level(fn, lo, hi, panels, tol_abs):
+            value = cm._composite_gl(fn, lo, hi, panels)
+            assert cmath.isfinite(value)
+            return value, panels, 0.0
+
+        monkeypatch.setattr(cm, "_refine_gl", first_level)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ell in (1, 3):
+                assert cm.wright_integrals(ell, r, N, exact=1).panels == (
+                    8, max(32, N // 2))
+        with pytest.raises(ValueError, match=f"r = {r + 1} is too large"):
+            cm.wright_integrals(1, r + 1, N, exact=1)
 
     def test_exact_override(self):
         true = mm.symmetrized_series(1, 3, 60)[60]

@@ -225,7 +225,7 @@ class TestCircleCommand:
         assert built == []
 
     def test_order_past_double_range(self, capsys, monkeypatch):
-        # (1 - |q|)^300 underflows on the circle of N = 400: refused
+        # 1/(1 - |q|)^300 is past double range at N = 400: refused
         # before any exact coefficient is built or any quadrature runs
         built = []
         monkeypatch.setattr(moments, "symmetrized_family",
@@ -234,6 +234,17 @@ class TestCircleCommand:
                                  "--ell", "1", "--ladder", "400")
         assert (code, out, built) == (1, "", [])
         assert err == ("usage error: r = 300 is too large for "
+                       "double-precision quadrature at N = 400\n")
+
+    def test_order_whose_integrand_overflows(self, capsys, monkeypatch):
+        # 1/(1 - |q|)^241 is finite at N = 400, but the integrand's bound
+        # is not: the first order whose integrand overflows is refused
+        monkeypatch.setattr(circle, "_refine_gl",
+                            lambda *args: pytest.fail("quadrature ran"))
+        code, out, err = run_cli(capsys, "circle", "--r", "241", "--ell", "1",
+                                 "--ladder", "400")
+        assert (code, out) == (1, "")
+        assert err == ("usage error: r = 241 is too large for "
                        "double-precision quadrature at N = 400\n")
 
     def test_zero_coefficient(self, capsys, monkeypatch):

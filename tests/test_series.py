@@ -198,42 +198,50 @@ class TestPackedDivision:
             assert p[n].bit_length() <= qs.partition_bits(n) - 2
 
 
+def table(kind, nmax):
+    """The table on the columns ``bivariate_series(kind, nmax)`` returns."""
+    return moments.CrankRankTable(kind, qs.bivariate_series(kind, nmax), nmax)
+
+
+def histogram(kind, n):
+    """Row n of the bivariate series to q^n, as a map m -> count."""
+    row = table(kind, n).dense_rows(n)[n]
+    return {m - n: c for m, c in enumerate(row) if c}
+
+
 class TestBivariateSeries:
     def test_crank_anomalous_column(self):
-        biv = qs.bivariate_series("crank", 4)
-        assert biv.distribution(1) == {-1: 1, 0: -1, 1: 1}
+        assert histogram("crank", 1) == {-1: 1, 0: -1, 1: 1}
 
     def test_crank_q4(self):
-        biv = qs.bivariate_series("crank", 4)
-        assert biv.distribution(4) == {-4: 1, -2: 1, 0: 1, 2: 1, 4: 1}
+        assert histogram("crank", 4) == {-4: 1, -2: 1, 0: 1, 2: 1, 4: 1}
 
     def test_rank_q4(self):
-        biv = qs.bivariate_series("rank", 4)
-        assert biv.distribution(4) == {-3: 1, -1: 1, 0: 1, 1: 1, 3: 1}
+        assert histogram("rank", 4) == {-3: 1, -1: 1, 0: 1, 1: 1, 3: 1}
 
     def test_constant_row(self):
         for kind in ("crank", "rank"):
-            biv = qs.bivariate_series(kind, 3)
-            assert biv.distribution(0) == {0: 1}
+            assert histogram(kind, 0) == {0: 1}
             # rows 0..nmax only: past nmax a row would be cut at the
             # numerator's order
             for n in (-1, 4):
                 with pytest.raises(ValueError, match="outside table range"):
-                    biv.distribution(n)
+                    table(kind, 3).dense_rows(n)
 
     @pytest.mark.parametrize("kind", ["crank", "rank"])
     def test_collapse_and_symmetry(self, kind):
-        biv = qs.bivariate_series(kind, 30)
+        biv = table(kind, 30)
         assert biv.collapse_marker().coeffs == qs.partition_series(30).coeffs
         assert biv.first_asymmetric_row() is None
 
     @pytest.mark.parametrize("kind", ["crank", "rank"])
     def test_rows_match_enumeration(self, kind):
-        biv = qs.bivariate_series(kind, 25)
+        rows = table(kind, 25).dense_rows(25)
         start = 2 if kind == "crank" else 0
         brute = partitions.brute_aggregates(25)
         for n in range(start, 26):
-            assert biv.distribution(n) == getattr(brute[n], kind)
+            assert ({m - n: c for m, c in enumerate(rows[n]) if c}
+                    == getattr(brute[n], kind))
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -553,3 +561,47 @@ class TestAgainstMpmath:
         assert relative[self.x == 0.11] <= 1e-14
         assert np.all(relative <= 1e-14)
 
+
+class TestTailBounds:
+    """Each evaluator stopped after ``max_terms`` terms at |q| close to 1:
+    the achieved bound of its ConvergenceError against the true remainder
+    after those terms, summed by mpmath at 30 digits.
+
+    The bound must hold.  It must also not be vacuous where the term
+    majorant is sharpest: the Appell majorant |q|^E(n) / (1 - |q|)^r
+    overstates term n about n^r-fold near q = 1, so the bounds of order 1
+    and of the ospt numerator stay within 10^3 of the remainder here."""
+
+    points = [rho * cmath.exp(1j * theta)
+              for rho in (0.97, 0.99) for theta in (0.0, 0.3, math.pi)]
+
+    @staticmethod
+    def remainder(term, after):
+        with mpmath.workdps(30):
+            return float(abs(mpmath.fsum(map(term, range(after + 1, 400)))))
+
+    @pytest.mark.parametrize("ell, r", [(1, 1), (3, 1), (1, 2), (3, 4)])
+    @pytest.mark.parametrize("max_terms", [10, 20])
+    def test_appell_sum(self, ell, r, max_terms):
+        for q in self.points:
+            with pytest.raises(ConvergenceError) as err:
+                qs.appell_sum_value(ell, r, q, 1e-15, max_terms)
+            z = mpmath.mpc(q.real, q.imag)
+            true = self.remainder(lambda n: (-1) ** (n + 1)
+                                  * z ** appell_exponent(ell, r, n)
+                                  / (1 - z ** n) ** r, max_terms)
+            assert true <= err.value.achieved_bound, q
+            if r == 1:
+                assert err.value.achieved_bound <= 1e3 * true, q
+
+    @pytest.mark.parametrize("max_terms", [10, 20])
+    def test_ospt_numerator(self, max_terms):
+        for q in self.points:
+            with pytest.raises(ConvergenceError) as err:
+                qs.ospt_numerator_value(q, 1e-15, max_terms)
+            z = mpmath.mpc(q.real, q.imag)
+            true = self.remainder(lambda n: (-1) ** (n + 1)
+                                  * z ** (n * (n + 1) // 2)
+                                  * (1 - z ** (n * n)) / (1 - z ** n),
+                                  max_terms)
+            assert true <= err.value.achieved_bound <= 1e3 * true, q

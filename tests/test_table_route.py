@@ -3,7 +3,7 @@ replaced.
 
 ``CrankRankTable`` keeps the crank/rank histogram as its sparse numerator
 columns alone and forms every sum over m of one kind in one packed
-division by (q;q)_inf (``BivariateSeries.weighted_sums``).  The references
+division by (q;q)_inf (``CrankRankTable.weighted_sums``).  The references
 below are the routes as they stood before: the dense one, every numerator
 monomial spread over a dense (nmax+1)-row histogram with each moment a
 per-row loop over m, which shares only ``numerator_entries`` and
@@ -35,44 +35,16 @@ def dense_reference(kind, nmax):
     return rows
 
 
-def positive_reference(rows, r_max):
-    """[N][r] = sum_{m>=1} m^r rows[N][m + N], powers of m built incrementally."""
-    out = []
-    for N, row in enumerate(rows):
-        acc = [0] * (r_max + 1)
-        for m in range(1, N + 1):
-            c = row[m + N]
-            if c:
-                acc[0] += c
-                pw = 1
-                for r in range(1, r_max + 1):
-                    pw *= m
-                    acc[r] += pw * c
-        out.append(acc)
-    return out
+def positive_reference(rows, r):
+    """[N] = sum_{m>=1} m^r rows[N][m + N]."""
+    return [sum(m ** r * row[m + N] for m in range(1, N + 1))
+            for N, row in enumerate(rows)]
 
 
 def full_reference(rows, r):
     """[N] = sum over all m of m^r rows[N][m + N]."""
     return [sum(m ** r * row[m + N] for m in range(-N, N + 1))
             for N, row in enumerate(rows)]
-
-
-def full_even_reference(rows, k_max):
-    """[N][k] = sum_{m>=1} m^{2k} (rows[N][N + m] + rows[N][N - m]); entry 0 unused."""
-    out = []
-    for N, row in enumerate(rows):
-        acc = [0] * (k_max + 1)
-        for m in range(1, N + 1):
-            c = row[N + m] + row[N - m]
-            if c:
-                m2 = m * m
-                pw = 1
-                for k in range(1, k_max + 1):
-                    pw *= m2
-                    acc[k] += pw * c
-        out.append(acc)
-    return out
 
 
 def symmetrized_reference(rows, r):
@@ -126,7 +98,7 @@ ALTERNATING = [("constant", 0, 0, (-1) ** j * SLOT_MAX) for j in range(25)]
 @example(kind="crank", nmax=60, specs=ALTERNATING)
 @example(kind="rank", nmax=1, specs=ALTERNATING[1:])
 def test_weighted_sums_equal_per_weight_products(kind, nmax, specs):
-    biv = qs.bivariate_series(kind, nmax)
+    biv = mm.CrankRankTable.build(kind, nmax)
     weights = [weight_function(spec) for spec in specs]
     assert biv.weighted_sums(weights) == [
         product_reference(biv, weight) for weight in weights]
@@ -141,7 +113,7 @@ def test_weighted_sums_on_arbitrary_columns(data, nmax, specs):
     entries = data.draw(st.lists(st.tuples(
         st.integers(0, nmax), st.integers(SPAN[0], SPAN[-1]),
         st.integers(-2**80, 2**80) | st.sampled_from([1, -1])), max_size=60))
-    biv = qs.BivariateSeries(qs.numerator_columns(entries), nmax)
+    biv = mm.CrankRankTable("crank", qs.numerator_columns(entries), nmax)
     weights = [weight_function(spec) for spec in specs]
     assert biv.weighted_sums(weights) == [
         product_reference(biv, weight) for weight in weights]
@@ -158,7 +130,7 @@ def test_weighted_sums_at_the_slot_bound():
     # slot of weight 1 gets 9 + 2 + 1 = 12 bits between two wide ones
     top = 2**200 - 1
     assert (qs.partition_bits(3), (3 * top).bit_length()) == (9, 202)
-    biv = qs.BivariateSeries({0: {0: 3}}, 3)
+    biv = mm.CrankRankTable("crank", {0: {0: 3}}, 3)
     weights = [(lambda m, w=w: w) for w in (top, -top, -top, top, 1, -top)]
     sums = biv.weighted_sums(weights)
     assert [s[3] for s in sums] == [9 * w(0) for w in weights]
@@ -171,13 +143,14 @@ def test_factorized_table_matches_dense_reference(kind, nmax):
     table = mm.CrankRankTable.build(kind, nmax)
     rows = dense_reference(kind, nmax)
     assert table.rows == rows
-    for N, row in enumerate(rows):
-        assert table.dense_row(N) == row
-        assert table.distribution(N) == {m - N: c for m, c in enumerate(row) if c}
-    assert table.positive_moments_upto(10) == positive_reference(rows, 10)
+    for N in range(nmax + 1):  # one bounded unpack gives the rows up to N
+        assert table.dense_rows(N) == rows[:N + 1]
+    assert table.positive_moments_upto(10) == {
+        r: positive_reference(rows, r) for r in range(11)}
     assert table.full_moments(range(7)) == {
         r: full_reference(rows, r) for r in range(7)}
-    assert table.full_even_moments_upto(5) == full_even_reference(rows, 5)
+    assert table.full_even_moments_upto(5) == {
+        r: full_reference(rows, r) for r in range(2, 11, 2)}
     assert table.symmetrized_moments(range(1, 7)) == {
         r: symmetrized_reference(rows, r) for r in range(1, 7)}
     assert table.collapse_marker().coeffs == [sum(row) for row in rows]
@@ -216,15 +189,16 @@ def test_monomial_count_without_enumeration(kind, nmax):
 def test_first_asymmetric_row_is_lowest_differing_exponent():
     # C_m - C_{-m} = (column m - column -m) * p, and p starts with 1
     entries = [*qs.numerator_entries("rank", 30), (9, 4, 1), (12, -2, 1)]
-    table = qs.BivariateSeries(qs.numerator_columns(entries), 30)
-    rows = table.dense_rows()
+    table = mm.CrankRankTable("rank", qs.numerator_columns(entries), 30)
+    rows = table.rows
     first = next(N for N, row in enumerate(rows) if row != row[::-1])
     assert table.first_asymmetric_row() == first == 9
 
 
 def test_dense_limit_applies_to_unpacking_only(monkeypatch):
     # a table whose dense rows are over the limit still builds and sums:
-    # at nmax=50 the dense estimate is about 102 kB, the factorized one 37 kB
+    # at nmax=50 the dense estimate is about 102 kB, the factorized one
+    # 37 kB; the limit is on the rows unpacked (to N=30, about 37 kB)
     table = mm.CrankRankTable.build("rank", 50)
     monkeypatch.setattr(qs, "TABLE_BYTES_LIMIT", 50_000)
     assert (mm.CrankRankTable.build("rank", 50).full_moments([2])
@@ -232,9 +206,8 @@ def test_dense_limit_applies_to_unpacking_only(monkeypatch):
     with pytest.raises(ResourceLimitError, match="dense table to nmax=50"):
         table.rows
     with pytest.raises(ResourceLimitError):
-        table.dense_rows()
-    assert table.distribution(50) == {
-        m - 50: c for m, c in enumerate(dense_reference("rank", 50)[50]) if c}
+        table.dense_rows(50)
+    assert table.dense_rows(30) == dense_reference("rank", 50)[:31]
 
 
 def test_factorized_limit_refuses_before_building(monkeypatch):

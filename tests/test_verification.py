@@ -64,11 +64,23 @@ def _euler_plus_q5(series, nmax):
     return qs.ExactSeries([c + (i == 5) for i, c in enumerate(series.coeffs)])
 
 
-def _rank_plus_q3(biv, kind, nmax):
+def _rank_plus_q3(columns, kind, nmax):
     if kind != "rank":
-        return biv
+        return columns
     entries = [*qs.numerator_entries(kind, nmax), (3, 0, 1)]
-    return qs.BivariateSeries(qs.numerator_columns(entries), nmax)
+    return qs.numerator_columns(entries)
+
+
+def _rank_ties_crank(ctx, monkeypatch, r, N):
+    """Route the rank table's full even moments through a patch that sets
+    order r at N to the crank table's value, so crank > rank fails there."""
+    crank = ctx.crank_table.full_even_moments_upto(5)[r][N]
+
+    def tie(full, k_max):
+        full[r][N] = crank
+        return full
+
+    _patch_result(monkeypatch, ctx.rank_table, "full_even_moments_upto", tie)
 
 
 def _basis_r4_shifted(coeffs, r):
@@ -355,6 +367,161 @@ RANGE_REPORTS = [
         "FAIL moment-parity: parity link broken | first counterexample: "
         "{'kind': 'rank', 'N': 30}",
         id="moment-parity-last",
+    ),    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "crank", 2, 1),
+        "table-vs-brute-crank", "histogram mismatch",
+        {"N": "2", "table": "{-2: 1, 1: 1, 2: 1}", "brute": "{-2: 1, 2: 1}"},
+        "FAIL table-vs-brute-crank: histogram mismatch | first counterexample: "
+        "{'N': 2, 'table': {-2: 1, 1: 1, 2: 1}, 'brute': {-2: 1, 2: 1}}",
+        id="table-vs-brute-crank-first",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "crank", 10, 0),
+        "table-vs-brute-crank", "histogram mismatch",
+        {"N": "10",
+         "table": "{-10: 1, -8: 1, -7: 1, -6: 2, -5: 2, -4: 3, -3: 2, -2: 4, "
+                  "-1: 3, 0: 5, 1: 3, 2: 4, 3: 2, 4: 3, 5: 2, 6: 2, 7: 1, "
+                  "8: 1, 10: 1}",
+         "brute": "{-10: 1, -8: 1, -6: 2, -4: 3, -2: 4, 2: 4, -7: 1, -5: 2, "
+                  "-3: 2, 3: 2, 0: 4, -1: 3, 4: 3, 5: 2, 1: 3, 6: 2, 7: 1, "
+                  "8: 1, 10: 1}"},
+        "FAIL table-vs-brute-crank: histogram mismatch | first counterexample: "
+        "{'N': 10, 'table': {-10: 1, -8: 1, -7: 1, -6: 2, -5: 2, -4: 3, "
+        "-3: 2, -2: 4, -1: 3, 0: 5, 1: 3, 2: 4, 3: 2, 4: 3, 5: 2, 6: 2, 7: 1, "
+        "8: 1, 10: 1}, 'brute': {-10: 1, -8: 1, -6: 2, -4: 3, -2: 4, 2: 4, "
+        "-7: 1, -5: 2, -3: 2, 3: 2, 0: 4, -1: 3, 4: 3, 5: 2, 1: 3, 6: 2, "
+        "7: 1, 8: 1, 10: 1}}",
+        id="table-vs-brute-crank-last",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "rank", 0, 0),
+        "table-vs-brute-rank", "histogram mismatch",
+        {"N": "0", "table": "{0: 2}", "brute": "{0: 1}"},
+        "FAIL table-vs-brute-rank: histogram mismatch | first counterexample: "
+        "{'N': 0, 'table': {0: 2}, 'brute': {0: 1}}",
+        id="table-vs-brute-rank-first",
+    ),
+    _failure(
+        lambda ctx, mp: _with_extra_monomial(ctx, "rank", 10, 2),
+        "table-vs-brute-rank", "histogram mismatch",
+        {"N": "10",
+         "table": "{-9: 1, -7: 1, -6: 1, -5: 2, -4: 2, -3: 4, -2: 3, -1: 5, "
+                  "0: 4, 1: 5, 2: 4, 3: 4, 4: 2, 5: 2, 6: 1, 7: 1, 9: 1}",
+         "brute": "{-9: 1, -7: 1, -6: 1, -5: 2, -4: 2, -3: 4, -2: 3, -1: 5, "
+                  "0: 4, 1: 5, 2: 3, 3: 4, 4: 2, 5: 2, 6: 1, 7: 1, 9: 1}"},
+        "FAIL table-vs-brute-rank: histogram mismatch | first counterexample: "
+        "{'N': 10, 'table': {-9: 1, -7: 1, -6: 1, -5: 2, -4: 2, -3: 4, "
+        "-2: 3, -1: 5, 0: 4, 1: 5, 2: 4, 3: 4, 4: 2, 5: 2, 6: 1, 7: 1, "
+        "9: 1}, 'brute': {-9: 1, -7: 1, -6: 1, -5: 2, -4: 2, -3: 4, -2: 3, "
+        "-1: 5, 0: 4, 1: 5, 2: 3, 3: 4, 4: 2, 5: 2, 6: 1, 7: 1, 9: 1}}",
+        id="table-vs-brute-rank-last",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.pos_crank[0], 1),
+        "positive-moment-reconciliation", "table and series routes disagree",
+        {"kind": "crank", "r": "1", "N": "0", "table": "1", "series": "0"},
+        "FAIL positive-moment-reconciliation: table and series routes disagree "
+        "| first counterexample: {'kind': 'crank', 'r': 1, 'N': 0, "
+        "'table': 1, 'series': 0}",
+        id="positive-moment-reconciliation-first",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.pos_rank[30], 10),
+        "positive-moment-reconciliation", "table and series routes disagree",
+        {"kind": "rank", "r": "10", "N": "30", "table": "1795206677587228",
+         "series": "1795206677587227"},
+        "FAIL positive-moment-reconciliation: table and series routes disagree "
+        "| first counterexample: {'kind': 'rank', 'r': 10, 'N': 30, "
+        "'table': 1795206677587228, 'series': 1795206677587227}",
+        id="positive-moment-reconciliation-last",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.pos_crank[0], 2),
+        "even-moment-halving", "full != 2 x positive",
+        {"kind": "crank", "r": "2", "N": "0"},
+        "FAIL even-moment-halving: full != 2 x positive | first "
+        "counterexample: {'kind': 'crank', 'r': 2, 'N': 0}",
+        id="even-moment-halving-first",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.pos_rank[30], 10),
+        "even-moment-halving", "full != 2 x positive",
+        {"kind": "rank", "r": "10", "N": "30"},
+        "FAIL even-moment-halving: full != 2 x positive | first "
+        "counterexample: {'kind': 'rank', 'r': 10, 'N': 30}",
+        id="even-moment-halving-last",
+    ),
+    _failure(
+        lambda ctx, mp: _rank_ties_crank(ctx, mp, 2, 1),
+        "full-even-moment-inequality", "even crank moment not larger",
+        {"r": "2", "N": "1"},
+        "FAIL full-even-moment-inequality: even crank moment not larger | "
+        "first counterexample: {'r': 2, 'N': 1}",
+        id="full-even-moment-inequality-first",
+    ),
+    _failure(
+        lambda ctx, mp: _rank_ties_crank(ctx, mp, 10, 30),
+        "full-even-moment-inequality", "even crank moment not larger",
+        {"r": "10", "N": "30"},
+        "FAIL full-even-moment-inequality: even crank moment not larger | "
+        "first counterexample: {'r': 10, 'N': 30}",
+        id="full-even-moment-inequality-last",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.ospt, 0),
+        "spt-ospt-series-scale", "table and series routes disagree",
+        {"N": "0", "spt_table": "0", "spt_series": "0", "ospt_table": "0",
+         "ospt_series": "1"},
+        "FAIL spt-ospt-series-scale: table and series routes disagree | first "
+        "counterexample: {'N': 0, 'spt_table': 0, 'spt_series': 0, "
+        "'ospt_table': 0, 'ospt_series': 1}",
+        id="spt-ospt-series-scale-first",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.spt, 30),
+        "spt-ospt-series-scale", "table and series routes disagree",
+        {"N": "30", "spt_table": "25773", "spt_series": "25774",
+         "ospt_table": "1587", "ospt_series": "1587"},
+        "FAIL spt-ospt-series-scale: table and series routes disagree | first "
+        "counterexample: {'N': 30, 'spt_table': 25773, 'spt_series': 25774, "
+        "'ospt_table': 1587, 'ospt_series': 1587}",
+        id="spt-ospt-series-scale-last",
+    ),
+    _failure(
+        lambda ctx, mp: _replace_brute(ctx, 1,
+                                       durfee_sum=ctx.brute[1].durfee_sum + 1),
+        "durfee-first-moment", "Durfee sum != M1+",
+        {"N": "1", "brute": "2", "table": "1"},
+        "FAIL durfee-first-moment: Durfee sum != M1+ | first counterexample: "
+        "{'N': 1, 'brute': 2, 'table': 1}",
+        id="durfee-first-moment-first",
+    ),
+    _failure(
+        lambda ctx, mp: _replace_brute(ctx, 10,
+                                       durfee_sum=ctx.brute[10].durfee_sum + 1),
+        "durfee-first-moment", "Durfee sum != M1+",
+        {"N": "10", "brute": "77", "table": "76"},
+        "FAIL durfee-first-moment: Durfee sum != M1+ | first counterexample: "
+        "{'N': 10, 'brute': 77, 'table': 76}",
+        id="durfee-first-moment-last",
+    ),
+    # the first N of the first progression (5N + 4) and the largest N read,
+    # 29, also of that progression: no progression reaches N = 30
+    _failure(
+        lambda ctx, mp: _bump(ctx.partition_counts, 4),
+        "ramanujan-congruences", "p(4) not divisible by 5",
+        {"N": "4", "p": "6", "modulus": "5"},
+        "FAIL ramanujan-congruences: p(4) not divisible by 5 | first "
+        "counterexample: {'N': 4, 'p': 6, 'modulus': 5}",
+        id="ramanujan-congruences-first",
+    ),
+    _failure(
+        lambda ctx, mp: _bump(ctx.partition_counts, 29),
+        "ramanujan-congruences", "p(29) not divisible by 5",
+        {"N": "29", "p": "4566", "modulus": "5"},
+        "FAIL ramanujan-congruences: p(29) not divisible by 5 | first "
+        "counterexample: {'N': 29, 'p': 4566, 'modulus': 5}",
+        id="ramanujan-congruences-last",
     ),
 ]
 
